@@ -20,12 +20,10 @@
 #   make loadgen  drive traffic at a running daemon and report p50/p99
 #   make smoke    boot rudolfd on a random port, score a generated batch,
 #                 swap rules, refine on labeled feedback, and assert /metrics
-#                 and /trace moved (scripts/smoke.sh)
+#                 and /v1/trace moved (scripts/smoke.sh)
 #   make trace-demo  boot rudolfd, drive load + one refinement, dump GET
-#                 /trace and validate the Chrome trace with scripts/checktrace
+#                 /v1/trace and validate the Chrome trace with scripts/checktrace
 #                 (set TRACE_OUT=path to keep the trace file)
-#   make trace-check explicit go vet + race pass over the tracer and its
-#                 heaviest concurrent consumer (internal/trace, internal/serve)
 #   make crash-smoke  boot rudolfd with a durable data directory, drive load
 #                 plus feedback/publish churn, SIGKILL it mid-flight, restart
 #                 on the same directory, and assert the acknowledged state
@@ -36,7 +34,7 @@
 #                 /v1/rules ETag convergence, SIGKILL + restart one follower,
 #                 and require the aggregate follower throughput to clear a
 #                 core-aware factor (scripts/cluster-smoke.sh)
-#   make check    build + vet + test + race + trace-check
+#   make check    build + vet + test + race (each package once)
 #   make ci       the full CI gate: check + smoke + crash-smoke +
 #                 cluster-smoke + trace-demo
 
@@ -48,7 +46,7 @@ COUNT     ?= 1
 ADDR      ?= 127.0.0.1:8080
 TRACE_OUT ?=
 
-.PHONY: all build test race vet bench bench-json serve loadgen smoke crash-smoke cluster-smoke trace-demo trace-check check ci clean
+.PHONY: all build test race vet bench bench-json serve loadgen smoke crash-smoke cluster-smoke trace-demo check ci clean
 
 all: ci
 
@@ -88,11 +86,7 @@ cluster-smoke:
 trace-demo:
 	GO=$(GO) TRACE_OUT=$(TRACE_OUT) bash scripts/trace-demo.sh
 
-trace-check:
-	$(GO) vet ./internal/trace/... ./internal/serve/...
-	$(GO) test -race ./internal/trace/... ./internal/serve/...
-
-check: build vet test race trace-check
+check: build vet test race
 
 ci: check smoke crash-smoke cluster-smoke trace-demo
 	-GO=$(GO) BENCHTIME=100x WRITE=0 TOL=1.0 bash scripts/bench.sh

@@ -595,7 +595,7 @@ func BenchmarkServeScore(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp, err := client.Post(ts.URL+"/score", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -659,7 +659,7 @@ func BenchmarkServeScoreVelocity(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp, err := client.Post(ts.URL+"/score", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
 				if err != nil {
 					b.Fatal(err)
 				}

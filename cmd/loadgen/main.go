@@ -4,7 +4,7 @@
 // plus the p50/p99 scoring latency scraped back off /metrics — the same
 // numbers a production dashboard would watch. Every scoring response's
 // request_id is decoded, and the slowest observed request is reported with
-// its id so it can be looked up in the daemon's GET /trace output.
+// its id so it can be looked up in the daemon's GET /v1/trace output.
 //
 // Usage:
 //
@@ -34,9 +34,8 @@
 // that the daemon's current version and feedback count equal
 // -expect-version / -expect-feedback (or the values recorded in
 // -state-file), that the boot actually replayed WAL records
-// (rudolf_wal_replayed_records_total > 0), that errors arrive in the
-// uniform envelope, and that legacy unversioned paths answer 308 redirects
-// to /v1 — the assertion pass behind `make crash-smoke`.
+// (rudolf_wal_replayed_records_total > 0), and that errors arrive in the
+// uniform envelope — the assertion pass behind `make crash-smoke`.
 //
 // -follower-of asserts the replication contract before the load phase runs:
 // the target must report role=follower on GET /v1/status and become ready,
@@ -63,6 +62,7 @@ import (
 	"net/http"
 	"os"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -208,7 +208,7 @@ func main() {
 		fmt.Printf("loadgen: batch size from /metrics: mean %.1f tx/request\n", h.Sum/float64(h.Total))
 	}
 	if worstReq.requestID != "" {
-		fmt.Printf("loadgen: slowest request %s took %s (look it up under GET /trace)\n",
+		fmt.Printf("loadgen: slowest request %s took %s (look it up under GET /v1/trace)\n",
 			worstReq.requestID, worstReq.latency.Round(time.Microsecond))
 	}
 
@@ -305,7 +305,7 @@ func printStageTable(page string) {
 
 // slowest tracks the worst-latency scoring request one worker observed,
 // keyed by the request id the daemon echoed back — the handle an operator
-// uses to find the matching span in GET /trace.
+// uses to find the matching span in GET /v1/trace.
 type slowest struct {
 	latency   time.Duration
 	requestID string
@@ -314,7 +314,7 @@ type slowest struct {
 // runSmoke is the control-plane assertion pass behind `make smoke`: the load
 // phase must have scored traffic, a rules swap must bump the published
 // version, a feedback-driven /refine must register on the new refinement
-// metrics series, GET /trace must return well-formed trace JSON containing
+// metrics series, GET /v1/trace must return well-formed trace JSON containing
 // the refine request's span, and /metrics must reflect all of it.
 func runSmoke(url, page string, rng *rand.Rand, schema *relation.Schema,
 	startRules []string, startVersion int, scored, errCount int64, worstReq slowest, client clientLatencies) error {
@@ -439,23 +439,14 @@ func runSmoke(url, page string, rng *rand.Rand, schema *relation.Schema,
 
 	// The trace endpoint must return well-formed Chrome trace JSON whose
 	// events include the refine request's span, correlated by request id.
-	resp, err = http.Get(url + "/v1/trace")
-	if err != nil {
-		return err
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/trace: %d %s", resp.StatusCode, body)
-	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string         `json:"name"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return fmt.Errorf("GET /v1/trace is not valid JSON: %w", err)
+	if _, err := getJSON(url, "/v1/trace", &doc); err != nil {
+		return err
 	}
 	if len(doc.TraceEvents) == 0 {
 		return fmt.Errorf("GET /v1/trace returned no events")
@@ -509,19 +500,6 @@ func checkBuildInfo(page string) error {
 // lifecycle is exercised by scripts/smoke.sh with an aggressive rule file;
 // here the defaults must simply be present, evaluable and quiet.
 func checkAlerts(url, page string) error {
-	resp, err := http.Get(url + "/v1/alerts?refresh=1")
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	etag := resp.Header.Get("ETag")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/alerts: %d %s", resp.StatusCode, body)
-	}
-	if etag == "" {
-		return fmt.Errorf("GET /v1/alerts carries no ETag")
-	}
 	var doc struct {
 		RequestID string `json:"request_id"`
 		Firing    int    `json:"firing"`
@@ -531,8 +509,13 @@ func checkAlerts(url, page string) error {
 			Expr  string `json:"expr"`
 		} `json:"rules"`
 	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return fmt.Errorf("GET /v1/alerts is not valid JSON: %w", err)
+	hdr, err := getJSON(url, "/v1/alerts?refresh=1", &doc)
+	if err != nil {
+		return err
+	}
+	etag := hdr.Get("ETag")
+	if etag == "" {
+		return fmt.Errorf("GET /v1/alerts carries no ETag")
 	}
 	if doc.RequestID == "" || len(doc.Rules) == 0 {
 		return fmt.Errorf("/v1/alerts request_id=%q rules=%d malformed", doc.RequestID, len(doc.Rules))
@@ -556,7 +539,7 @@ func checkAlerts(url, page string) error {
 		return err
 	}
 	req.Header.Set("If-None-Match", etag)
-	resp, err = http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -634,15 +617,6 @@ func checkDebugObservability(url string, rng *rand.Rand, schema *relation.Schema
 			return fmt.Errorf("slow-probe response carries no X-Request-Id")
 		}
 
-		resp, err = http.Get(url + "/v1/debug/slow")
-		if err != nil {
-			return err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET /v1/debug/slow: %d %s", resp.StatusCode, body)
-		}
 		var slow struct {
 			Count         int   `json:"count"`
 			PromotedTotal int   `json:"promoted_total"`
@@ -658,8 +632,8 @@ func checkDebugObservability(url string, rng *rand.Rand, schema *relation.Schema
 				} `json:"spans"`
 			} `json:"entries"`
 		}
-		if err := json.Unmarshal(body, &slow); err != nil {
-			return fmt.Errorf("GET /v1/debug/slow is not valid JSON: %w", err)
+		if _, err := getJSON(url, "/v1/debug/slow", &slow); err != nil {
+			return err
 		}
 		if slow.Count == 0 || slow.Count != len(slow.Entries) || slow.PromotedTotal < slow.Count {
 			return fmt.Errorf("/v1/debug/slow count=%d entries=%d promoted=%d malformed",
@@ -708,15 +682,6 @@ func checkDebugObservability(url string, rng *rand.Rand, schema *relation.Schema
 		return lastCoverage
 	}
 
-	resp, err := http.Get(url + "/v1/debug/state")
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/debug/state: %d %s", resp.StatusCode, body)
-	}
 	var state struct {
 		UptimeSeconds float64 `json:"uptime_seconds"`
 		Version       int     `json:"version"`
@@ -740,8 +705,8 @@ func checkDebugObservability(url string, rng *rand.Rand, schema *relation.Schema
 			HeapBytes  int64 `json:"heap_bytes"`
 		} `json:"runtime"`
 	}
-	if err := json.Unmarshal(body, &state); err != nil {
-		return fmt.Errorf("GET /v1/debug/state is not valid JSON: %w", err)
+	if _, err := getJSON(url, "/v1/debug/state", &state); err != nil {
+		return err
 	}
 	switch {
 	case state.UptimeSeconds <= 0:
@@ -1106,15 +1071,6 @@ func publishWithVelocityRule(url string, schema *relation.Schema) (velIdx, key i
 	return len(cur), key, nil
 }
 
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // checkVelocity exercises the stateful scoring path end to end: publish a
 // windowed COUNT rule, drive a same-key burst through /v1/score, and assert
 // the rule stays quiet below the threshold, fires exactly at it with a
@@ -1133,11 +1089,11 @@ func checkVelocity(url string, rng *rand.Rand, schema *relation.Schema) error {
 	if err != nil {
 		return err
 	}
-	if containsInt(out.Explanations[0].Matched, velIdx) {
+	if slices.Contains(out.Explanations[0].Matched, velIdx) {
 		return fmt.Errorf("velocity rule %d fired on the burst's first probe", velIdx)
 	}
 	last := out.Explanations[len(out.Explanations)-1]
-	if !containsInt(last.Matched, velIdx) {
+	if !slices.Contains(last.Matched, velIdx) {
 		return fmt.Errorf("velocity rule %d did not fire on probe %d of a same-key burst", velIdx, velocityThreshold)
 	}
 	winChecks := 0
@@ -1205,7 +1161,7 @@ func velocityPrepare(url string, rng *rand.Rand, schema *relation.Schema) error 
 		return err
 	}
 	for i, e := range out.Explanations {
-		if containsInt(e.Matched, velIdx) {
+		if slices.Contains(e.Matched, velIdx) {
 			return fmt.Errorf("velocity rule %d fired on pre-crash probe %d, below the threshold", velIdx, i)
 		}
 	}
@@ -1246,7 +1202,7 @@ func velocityResume(url string, rng *rand.Rand) error {
 		return err
 	}
 	last := out.Explanations[len(out.Explanations)-1]
-	if !containsInt(last.Matched, velIdx) {
+	if !slices.Contains(last.Matched, velIdx) {
 		return fmt.Errorf("velocity rule %d did not fire after recovery: pre-crash observations lost", velIdx)
 	}
 	for _, re := range last.Rules {
@@ -1269,15 +1225,6 @@ func velocityResume(url string, rng *rand.Rand) error {
 // the load phase (the default 1-in-100 sampling sees thousands of scored
 // transactions) and that each entry is well-formed.
 func checkAudit(url string, version int) error {
-	resp, err := http.Get(fmt.Sprintf("%s/v1/audit?n=5", url))
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/audit: %d %s", resp.StatusCode, body)
-	}
 	var out struct {
 		Version  int `json:"version"`
 		Retained int `json:"retained"`
@@ -1288,8 +1235,8 @@ func checkAudit(url string, version int) error {
 			Attrs map[string]string `json:"attrs"`
 		} `json:"entries"`
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return fmt.Errorf("GET /v1/audit response: %w", err)
+	if _, err := getJSON(url, "/v1/audit?n=5", &out); err != nil {
+		return err
 	}
 	if out.Version != version {
 		return fmt.Errorf("/v1/audit version = %d, want %d", out.Version, version)
@@ -1357,8 +1304,8 @@ func runChurn(url string, rng *rand.Rand, schema *relation.Schema, startRules []
 }
 
 // runResume asserts a restarted daemon restored the recorded state: version
-// and feedback count match, the boot replayed WAL records, errors arrive in
-// the uniform envelope, and legacy paths answer 308 redirects to /v1.
+// and feedback count match, the boot replayed WAL records, and errors arrive
+// in the uniform envelope.
 func runResume(url string, expectVer, expectFb int, stateFile string, velocity bool) error {
 	if stateFile != "" && (expectVer < 0 || expectFb < 0) {
 		raw, err := os.ReadFile(stateFile)
@@ -1434,20 +1381,6 @@ func runResume(url string, expectVer, expectFb int, stateFile string, velocity b
 		return fmt.Errorf("error body %s is not the uniform envelope (err %v)", body, err)
 	}
 
-	// Legacy unversioned paths answer 308 redirects to their /v1 successors.
-	client := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-	resp, err = client.Get(url + "/rules")
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPermanentRedirect || resp.Header.Get("Location") != "/v1/rules" {
-		return fmt.Errorf("GET /rules = %d Location %q, want 308 to /v1/rules", resp.StatusCode, resp.Header.Get("Location"))
-	}
-
 	// Velocity convergence: finish the burst velocityPrepare started before
 	// the crash; the windowed rule firing with margin 0 proves the aggregate
 	// store was rebuilt to the exact pre-crash counts.
@@ -1456,7 +1389,7 @@ func runResume(url string, expectVer, expectFb int, stateFile string, velocity b
 			return err
 		}
 	}
-	fmt.Printf("loadgen: resume verified version=%d feedback=%d, WAL replay observed, envelope + redirects intact\n",
+	fmt.Printf("loadgen: resume verified version=%d feedback=%d, WAL replay observed, envelope intact\n",
 		version, feedback)
 	return nil
 }
@@ -1476,41 +1409,39 @@ type healthDoc struct {
 	} `json:"rules"`
 }
 
-// fetchRuleHealth reads the per-rule health snapshot and its ETag.
-func fetchRuleHealth(url string) (healthDoc, string, error) {
-	resp, err := http.Get(url + "/v1/rules/health")
+// getJSON GETs url+path, requires a 200 and decodes the JSON body into out;
+// it returns the response headers.
+func getJSON(url, path string, out any) (http.Header, error) {
+	resp, err := http.Get(url + path)
 	if err != nil {
-		return healthDoc{}, "", err
+		return nil, err
 	}
 	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return healthDoc{}, "", fmt.Errorf("GET /v1/rules/health: %d", resp.StatusCode)
+		return nil, fmt.Errorf("GET %s: %d %s", path, resp.StatusCode, body)
 	}
+	if err := json.Unmarshal(body, out); err != nil {
+		return nil, fmt.Errorf("GET %s is not valid JSON: %w", path, err)
+	}
+	return resp.Header, nil
+}
+
+// fetchRuleHealth reads the per-rule health snapshot and its ETag.
+func fetchRuleHealth(url string) (healthDoc, string, error) {
 	var out healthDoc
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return healthDoc{}, "", err
-	}
-	return out, resp.Header.Get("ETag"), nil
+	hdr, err := getJSON(url, "/v1/rules/health", &out)
+	return out, hdr.Get("ETag"), err
 }
 
 // fetchStats reads the published version and feedback count off /v1/stats.
 func fetchStats(url string) (version, feedback int, err error) {
-	resp, err := http.Get(url + "/v1/stats")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("GET /v1/stats: %d", resp.StatusCode)
-	}
 	var out struct {
 		Version  int `json:"version"`
 		Feedback int `json:"feedback"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, 0, err
-	}
-	return out.Version, out.Feedback, nil
+	_, err = getJSON(url, "/v1/stats", &out)
+	return out.Version, out.Feedback, err
 }
 
 // feedbackBody builds one labeled /feedback batch: random transactions like
@@ -1572,44 +1503,25 @@ func fetchSchema(url string) (*relation.Schema, error) {
 	return relation.ReadSchemaJSON(resp.Body)
 }
 
+// rulesDoc mirrors the part of the GET /v1/rules document loadgen reads.
+type rulesDoc struct {
+	Version int      `json:"version"`
+	Rules   []string `json:"rules"`
+}
+
 func fetchRules(url string) (rules []string, version int, err error) {
-	resp, err := http.Get(url + "/v1/rules")
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("GET /v1/rules: %d", resp.StatusCode)
-	}
-	var out struct {
-		Version int      `json:"version"`
-		Rules   []string `json:"rules"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, 0, err
-	}
-	return out.Rules, out.Version, nil
+	var out rulesDoc
+	_, err = getJSON(url, "/v1/rules", &out)
+	return out.Rules, out.Version, err
 }
 
 // fetchRulesETag returns the ETag and version of GET /v1/rules — the pair
 // runFollowerCheck compares across leader and follower, since identical
 // ETags are the replication invariant (DESIGN.md §16).
 func fetchRulesETag(url string) (etag string, version int, err error) {
-	resp, err := http.Get(url + "/v1/rules")
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", 0, fmt.Errorf("GET /v1/rules: %d", resp.StatusCode)
-	}
-	var out struct {
-		Version int `json:"version"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", 0, err
-	}
-	return resp.Header.Get("ETag"), out.Version, nil
+	var out rulesDoc
+	hdr, err := getJSON(url, "/v1/rules", &out)
+	return hdr.Get("ETag"), out.Version, err
 }
 
 // runFollowerCheck asserts the follower-role contract of the target at url
@@ -1628,14 +1540,8 @@ func runFollowerCheck(url, leaderURL string, schema *relation.Schema) error {
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		resp, err := http.Get(url + "/v1/status")
-		if err != nil {
+		if _, err := getJSON(url, "/v1/status", &st); err != nil {
 			return err
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("GET /v1/status: %w", err)
 		}
 		if st.Role != "follower" {
 			return fmt.Errorf("/v1/status role = %q, want follower", st.Role)

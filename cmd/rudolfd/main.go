@@ -28,9 +28,8 @@
 // the replication surface
 // GET /v1/wal/segments, GET /v1/wal/snapshot and GET /v1/wal/stream
 // (durable leaders only), plus the unversioned infra endpoints
-// GET /healthz, GET /readyz, GET /metrics.
-// Legacy unversioned API paths answer 308 redirects to their /v1
-// successors. Published rules (POST /v1/rules and -rules files) use the
+// GET /healthz, GET /readyz, GET /metrics; any other unversioned path
+// answers the uniform 404 envelope. Published rules (POST /v1/rules and -rules files) use the
 // textual rule language documented in README.md ("The rule language"),
 // including the windowed velocity atoms (COUNT(user, 10m) >= 5) when the
 // schema declares a time attribute; under a windowed rule set the daemon

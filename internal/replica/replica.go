@@ -2,7 +2,7 @@
 // (DESIGN.md §16): it bootstraps a scoring node from the leader's newest
 // snapshot, tails the leader's write-ahead log over HTTP, CRC-verifies every
 // frame against the exact on-disk wire format, and hands each record to a
-// Target for replay through the same code paths a durable boot uses. The
+// Target (in the daemon: the serve state machine's restore and apply). The
 // loop reconnects with exponential backoff on any transport error; the only
 // unrecoverable condition is lost log continuity (the leader pruned past the
 // follower's position), which is surfaced as ErrContinuityLost so the

@@ -22,89 +22,30 @@ func readAll(t testing.TB, resp *http.Response) string {
 	return string(data)
 }
 
-// noRedirect returns a client that surfaces 3xx responses instead of
-// following them, so the legacy-path contract is observable.
-func noRedirect() *http.Client {
-	return &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-}
-
-// TestLegacyRedirects: every legacy unversioned path answers 308 Permanent
-// Redirect to its /v1 successor, with Deprecation and Link headers, and the
-// query string preserved. 308 (not 301) so POST bodies survive the hop.
-func TestLegacyRedirects(t *testing.T) {
+// TestUnversionedPathIs404: the API lives under /v1 only — a pre-/v1
+// unversioned path answers the uniform 404 envelope, not a redirect — while
+// the infrastructure endpoints stay unversioned.
+func TestUnversionedPathIs404(t *testing.T) {
 	schema := testSchema(t)
 	_, ts := newTestServer(t, Config{Schema: schema, Rules: mustRules(t, schema, "amount >= 100")})
-	client := noRedirect()
 
-	for _, base := range []string{"score", "rules", "feedback", "refine", "stats", "schema", "trace"} {
-		resp, err := client.Get(ts.URL + "/" + base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("GET /%s = %d, want 308", base, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != "/v1/"+base {
-			t.Errorf("GET /%s Location = %q, want /v1/%s", base, loc, base)
-		}
-		if resp.Header.Get("Deprecation") == "" {
-			t.Errorf("GET /%s: missing Deprecation header", base)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "successor-version") {
-			t.Errorf("GET /%s Link = %q, want a successor-version relation", base, link)
-		}
+	code, body := postJSON(t, ts.URL+"/score", tx(500, 3, 9), nil)
+	var er errorResponse
+	if err := jsonUnmarshal(body, &er); err != nil {
+		t.Fatalf("body %q is not the error envelope: %v", body, err)
 	}
-
-	// The unversioned debug paths redirect like the rest of the legacy
-	// surface (same 308 + Deprecation + successor-version Link).
-	for _, p := range []string{"/debug/slow", "/debug/state"} {
-		resp, err := client.Get(ts.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("GET %s = %d, want 308", p, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != "/v1"+p {
-			t.Errorf("GET %s Location = %q, want /v1%s", p, loc, p)
-		}
-		if resp.Header.Get("Deprecation") == "" {
-			t.Errorf("GET %s: missing Deprecation header", p)
-		}
+	if code != http.StatusNotFound || er.Error.Code != CodeNotFound || !strings.Contains(er.Error.Message, "the API lives under /v1") {
+		t.Fatalf("POST /score = %d (%s), want 404 %s pointing at /v1", code, body, CodeNotFound)
 	}
-
-	// The query string survives the redirect.
-	resp, err := client.Get(ts.URL + "/trace?format=jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if loc := resp.Header.Get("Location"); loc != "/v1/trace?format=jsonl" {
-		t.Errorf("redirect Location = %q, want query preserved", loc)
-	}
-
-	// Infra endpoints stay unversioned: no redirect.
 	for _, p := range []string{"/healthz", "/readyz", "/metrics"} {
-		resp, err := client.Get(ts.URL + p)
+		resp, err := http.Get(ts.URL + p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200 (no redirect)", p, resp.StatusCode)
+			t.Errorf("GET %s = %d, want 200", p, resp.StatusCode)
 		}
-	}
-
-	// And a POST through the redirect lands with its body intact (the
-	// default client follows 308 preserving method and body).
-	var sr scoreResponse
-	code, body := postJSON(t, ts.URL+"/score", tx(500, 3, 9), &sr)
-	if code != http.StatusOK || sr.Count != 1 {
-		t.Fatalf("POST via legacy /score = %d (%s), want the batch to survive the 308", code, body)
 	}
 }
 

@@ -1,35 +1,31 @@
 // Durable serving state: the write-ahead log and snapshot machinery behind
-// Config.DataDir.
+// Config.DataDir — the leader's commit path, the boot path, and the snapshot
+// writer/reader. What a record or a snapshot *means* lives in state.go.
 //
 // Layout of the data directory:
 //
 //	<DataDir>/wal/wal-<firstseq>.log   length+CRC32-framed JSONL segments
-//	<DataDir>/snap-<walseq>/           one snapshot: manifest.json,
-//	                                   feedback.csv, history.json, rules.txt
-//	                                   and (when windowed rules have ever
-//	                                   been served) window.json
+//	<DataDir>/snap-<walseq>/           one snapshot: the snapshotFiles
+//	                                   (manifest.json, feedback.csv,
+//	                                   history.json and, when the schema has
+//	                                   a time attribute, window.json)
 //
 // Every acknowledged mutation — a /v1/feedback batch, a rule-set publish
 // from /v1/rules or an accepted /v1/refine, and, while windowed rules are
 // published, every scored batch (an "observe" record feeding the
 // sliding-window aggregate store) — is appended to the WAL *before* the
 // in-memory state changes, so the on-disk log is always a superset of what
-// clients were told. Snapshots capture the full state (feedback relation
-// CSV, the complete version history, window aggregates, and a manifest
-// binding them to a WAL position) so replay time stays bounded: on boot the
-// newest valid snapshot is loaded and only WAL records past its position
-// are replayed, in sequence order — feedback appends re-enter the relation
-// exactly as acked, publishes re-enter the history with their original ids
-// and timestamps (registering their window specs so later observe records
-// aggregate exactly as they did live), and the capture cache is invalidated
-// once at the end (a replayed relation has no valid binding by
-// construction).
+// clients were told. Snapshots capture the full state and bind it to a WAL
+// position so replay time stays bounded: on boot the newest valid snapshot
+// is restored and only WAL records past its position are replayed, in
+// sequence order, through the same apply the leader committed them with.
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,72 +33,16 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/history"
-	"repro/internal/index"
-	"repro/internal/relation"
-	"repro/internal/rules"
 	"repro/internal/wal"
-	"repro/internal/window"
 )
 
-// walRecord is the WAL payload: exactly one of Feedback, Publish or Observe
-// is set.
-type walRecord struct {
-	// Type is "feedback", "publish" or "observe".
-	Type string    `json:"type"`
-	Time time.Time `json:"time"`
-	// Feedback is one acknowledged /v1/feedback batch.
-	Feedback *feedbackWAL `json:"feedback,omitempty"`
-	// Publish is one committed rule-set version, verbatim (id, timestamp,
-	// rule texts, changes) so replay reconstructs the history exactly.
-	Publish *history.Version `json:"publish,omitempty"`
-	// Observe is one scored batch fed to the sliding-window aggregate store.
-	// Only written while the published rule set has windowed conditions.
-	Observe *observeWAL `json:"observe,omitempty"`
-}
+const snapPrefix = "snap-"
 
-// feedbackWAL is a feedback batch in durable form: raw tuple values (domain
-// values / concept ids), labels and scores, parallel per transaction.
-type feedbackWAL struct {
-	Tuples [][]int64 `json:"tuples"`
-	Labels []uint8   `json:"labels"`
-	Scores []int16   `json:"scores"`
-}
-
-// observeWAL is one scored batch in durable form: tuple values only — labels
-// and scores are irrelevant to window aggregation, and the batch is never
-// part of the feedback relation.
-type observeWAL struct {
-	Tuples [][]int64 `json:"tuples"`
-}
-
-// manifest binds one snapshot to a WAL position and records the state it
-// captured, for post-restore assertions.
-type manifest struct {
-	Format    int       `json:"format"`
-	WALSeq    uint64    `json:"wal_seq"`
-	Version   int       `json:"ruleset_version"`
-	Versions  int       `json:"versions"`
-	Feedback  int       `json:"feedback"`
-	RuleCount int       `json:"rules"`
-	SavedAt   time.Time `json:"saved_at"`
-}
-
-const (
-	manifestFormat = 1
-	manifestFile   = "manifest.json"
-	feedbackFile   = "feedback.csv"
-	historyFile    = "history.json"
-	rulesFile      = "rules.txt"
-	windowFile     = "window.json"
-	snapPrefix     = "snap-"
-)
-
-// openDurability restores state from cfg.DataDir: newest valid snapshot
-// first, then WAL replay past the snapshot's position. It leaves s.wal open
-// for appending and reports whether any previous state was restored (false
-// on a first boot, where the caller publishes the initial rules — which
-// becomes WAL record 1).
+// openDurability is the durable boot: restore the newest valid snapshot under
+// cfg.DataDir, then replay the WAL past its position into apply. It leaves
+// s.wal open for appending and reports whether any previous state was
+// restored (false on a first boot, where the caller publishes the initial
+// rules — which becomes WAL record 1).
 func (s *Server) openDurability() (restored bool, err error) {
 	dir := s.cfg.DataDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -130,151 +70,52 @@ func (s *Server) openDurability() (restored bool, err error) {
 			return nil // already inside the snapshot
 		}
 		applied++
-		return s.applyWALRecord(e)
+		return s.applyPayload(e.Seq, e.Payload)
 	})
 	if err != nil {
 		return false, err
 	}
 	s.wal = l
 	s.lastSnapSeq = snapSeq
-
-	if v, ok := s.hist.Latest(); ok {
-		rs, err := s.hist.Checkout(s.hist.Len() - 1)
-		if err != nil {
-			l.Close() //nolint:errcheck // already failing
-			return false, err
-		}
-		s.mu.Lock()
-		s.installLocked(rs, index.Compile(s.schema, rs), v)
-		s.mu.Unlock()
-		restored = true
-		s.log.Info("durable state restored",
-			"data_dir", dir, "version", v.ID, "rules", rs.Len(),
-			"feedback", s.feedback.Len(), "snapshot_seq", snapSeq,
-			"replayed_records", applied, "wal_last_seq", l.LastSeq())
-	} else {
+	if s.hist.Len() == 0 {
 		s.log.Info("data dir is empty, first boot", "data_dir", dir)
+		return false, nil
 	}
-	return restored, nil
+	s.log.Info("durable state restored",
+		"data_dir", dir, "version", s.Version(), "rules", s.Rules().Len(),
+		"feedback", s.feedback.Len(), "snapshot_seq", snapSeq,
+		"replayed_records", applied, "wal_last_seq", l.LastSeq())
+	return true, nil
 }
 
-// applyWALRecord applies one replayed record. Records were validated before
-// they were acked, so any failure here means the log and the schema have
-// diverged — fail loud, never guess.
-func (s *Server) applyWALRecord(e wal.Entry) error {
-	var rec walRecord
-	if err := json.Unmarshal(e.Payload, &rec); err != nil {
-		return fmt.Errorf("record %d does not parse: %w", e.Seq, err)
+// commit is the leader's whole write path: append rec to the WAL (when
+// durable), then apply it. The append comes first — a mutation that cannot be
+// made durable is not made at all — and both happen under the record's locks
+// (see apply), which the caller holds.
+func (s *Server) commit(rec *walRecord) error {
+	var seq uint64
+	if s.wal != nil {
+		var err error
+		if seq, err = s.walAppend(rec); err != nil {
+			return err
+		}
 	}
-	switch rec.Type {
-	case "feedback":
-		fb := rec.Feedback
-		if fb == nil || len(fb.Tuples) != len(fb.Labels) || len(fb.Tuples) != len(fb.Scores) {
-			return fmt.Errorf("record %d: malformed feedback batch", e.Seq)
-		}
-		for i, vals := range fb.Tuples {
-			if _, err := s.feedback.Append(relation.Tuple(vals), relation.Label(fb.Labels[i]), fb.Scores[i]); err != nil {
-				return fmt.Errorf("record %d transaction %d: %w", e.Seq, i, err)
-			}
-		}
-	case "publish":
-		if rec.Publish == nil {
-			return fmt.Errorf("record %d: publish record without a version", e.Seq)
-		}
-		if err := s.hist.Append(*rec.Publish); err != nil {
-			return fmt.Errorf("record %d: %w", e.Seq, err)
-		}
-		// Register this version's window specs before any later observe
-		// record is replayed: aggregates only accumulate for registered
-		// specs, so replay must mirror the live registration order exactly.
-		if s.winStore != nil {
-			if err := s.ensureVersionSpecs(rec.Publish); err != nil {
-				return fmt.Errorf("record %d: %w", e.Seq, err)
-			}
-		}
-	case "observe":
-		if rec.Observe == nil {
-			return fmt.Errorf("record %d: observe record without tuples", e.Seq)
-		}
-		if s.winStore == nil {
-			return fmt.Errorf("record %d: observe record but the schema has no time attribute", e.Seq)
-		}
-		for _, vals := range rec.Observe.Tuples {
-			s.winStore.Observe(relation.Tuple(vals))
-		}
-	default:
-		return fmt.Errorf("record %d: unknown type %q", e.Seq, rec.Type)
-	}
-	return nil
+	return s.apply(seq, rec)
 }
 
-// walAppendFeedback logs one validated feedback batch. Callers hold s.mu.
-func (s *Server) walAppendFeedback(batch *relation.Relation) error {
-	fb := &feedbackWAL{
-		Tuples: make([][]int64, batch.Len()),
-		Labels: make([]uint8, batch.Len()),
-		Scores: make([]int16, batch.Len()),
-	}
-	for i := 0; i < batch.Len(); i++ {
-		fb.Tuples[i] = batch.Tuple(i)
-		fb.Labels[i] = uint8(batch.Label(i))
-		fb.Scores[i] = batch.Score(i)
-	}
-	return s.walAppend(walRecord{Type: "feedback", Time: time.Now(), Feedback: fb})
-}
-
-// walAppendPublish logs one built-but-not-yet-committed version. Callers
-// hold s.mu.
-func (s *Server) walAppendPublish(v history.Version) error {
-	return s.walAppend(walRecord{Type: "publish", Time: v.Time, Publish: &v})
-}
-
-// walAppendObserve logs one scored batch for window-aggregate replay.
-// Callers hold s.obsMu (not s.mu): the observe path is ordered by obsMu
-// alone so scoring never contends with feedback or publishes.
-func (s *Server) walAppendObserve(batch *relation.Relation) error {
-	ob := &observeWAL{Tuples: make([][]int64, batch.Len())}
-	for i := 0; i < batch.Len(); i++ {
-		ob.Tuples[i] = batch.Tuple(i)
-	}
-	return s.walAppend(walRecord{Type: "observe", Time: time.Now(), Observe: ob})
-}
-
-// ensureVersionSpecs registers a replayed version's window specs so observe
-// records that follow it in the log aggregate exactly as they did live.
-func (s *Server) ensureVersionSpecs(v *history.Version) error {
-	var specs []window.Spec
-	for _, text := range v.Rules {
-		r, err := rules.Parse(s.schema, text)
-		if err != nil {
-			return fmt.Errorf("parsing published rule %q: %w", text, err)
-		}
-		for _, wc := range r.Windows() {
-			specs = append(specs, wc.Spec)
-		}
-	}
-	if len(specs) > 0 {
-		s.winStore.EnsureSpecs(specs)
-	}
-	return nil
-}
-
-func (s *Server) walAppend(rec walRecord) error {
+func (s *Server) walAppend(rec *walRecord) (uint64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("marshaling %s record: %w", rec.Type, err)
+		return 0, fmt.Errorf("marshaling %s record: %w", rec.Type, err)
 	}
-	if _, err := s.wal.Append(payload); err != nil {
-		return err
-	}
-	return nil
+	return s.wal.Append(payload)
 }
 
-// Snapshot writes a consistent snapshot of the serving state (feedback
-// relation CSV, full version history, current rules, and a manifest binding
-// them to the WAL position), then prunes WAL segments the snapshot made
-// redundant and removes older snapshots. No-op (nil) when nothing has been
-// logged since the last snapshot, or when the server is not durable.
+// Snapshot writes a consistent snapshot of the serving state (the
+// snapshotFiles, bound to a WAL position by the manifest), then prunes WAL
+// segments the snapshot made redundant and removes older snapshots. No-op
+// (nil) when nothing has been logged since the last snapshot; an error when
+// the server is not durable.
 func (s *Server) Snapshot() error {
 	if s.wal == nil {
 		return fmt.Errorf("serve: Snapshot requires Config.DataDir")
@@ -282,51 +123,28 @@ func (s *Server) Snapshot() error {
 	sp := s.tracer.Start("snapshot")
 	defer sp.End()
 
+	// The state is serialized in memory under mu; the (slower) file writes
+	// and fsyncs below happen with the control plane unblocked.
 	s.mu.Lock()
-	s.obsMu.Lock()
-	seq := s.wal.LastSeq()
-	if seq == s.lastSnapSeq {
-		s.obsMu.Unlock()
+	if s.wal.LastSeq() == s.lastSnapSeq {
 		s.mu.Unlock()
 		sp.Bool("skipped", true)
 		return nil
 	}
-	// The window store is serialized while obsMu is held, so the bytes are
-	// consistent with seq: no observe can land between reading the WAL
-	// position and capturing the aggregates that position produced. The
-	// (slower) file writes below happen with scoring unblocked.
-	var winSnap []byte
-	if s.winStore != nil {
-		var buf bytes.Buffer
-		if err := s.winStore.WriteSnapshot(&buf); err != nil {
-			s.obsMu.Unlock()
-			s.mu.Unlock()
-			return fmt.Errorf("serve: window snapshot: %w", err)
-		}
-		winSnap = buf.Bytes()
-	}
-	s.obsMu.Unlock()
-	st := s.state.Load()
-	m := manifest{
-		Format:    manifestFormat,
-		WALSeq:    seq,
-		Version:   st.version,
-		Versions:  s.hist.Len(),
-		Feedback:  s.feedback.Len(),
-		RuleCount: st.set.Len(),
-		SavedAt:   time.Now(),
-	}
-	final := filepath.Join(s.cfg.DataDir, snapName(seq))
-	tmp := final + ".tmp"
-	err := s.writeSnapshotLocked(tmp, m, st, winSnap)
+	m, files, err := s.dump(s.wal.LastSeq)
 	s.mu.Unlock()
 	if err != nil {
-		os.RemoveAll(tmp) //nolint:errcheck // best-effort cleanup
-		return err
+		return fmt.Errorf("serve: snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	seq := m.WALSeq
+	final := filepath.Join(s.cfg.DataDir, snapName(seq))
+	tmp := final + ".tmp"
+	if err := writeSnapshotDir(tmp, files); err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
 		os.RemoveAll(tmp) //nolint:errcheck // best-effort cleanup
-		return fmt.Errorf("serve: publishing snapshot: %w", err)
+		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	s.mu.Lock()
 	if seq > s.lastSnapSeq {
@@ -350,69 +168,74 @@ func (s *Server) Snapshot() error {
 	return nil
 }
 
-// writeSnapshotLocked writes the snapshot files into dir (a temp directory
-// later renamed into place). Callers hold s.mu.
-func (s *Server) writeSnapshotLocked(dir string, m manifest, st *ruleState, winSnap []byte) error {
+// writeSnapshotDir writes files into dir (a temp directory later renamed into
+// place), each fsynced. The manifest goes last: a snapshot without a valid
+// manifest is invisible to the loader, so a crash mid-snapshot can never be
+// loaded.
+func writeSnapshotDir(dir string, files map[string][]byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: snapshot dir: %w", err)
-	}
-	if err := writeFileSync(filepath.Join(dir, feedbackFile), func(f *os.File) error {
-		return s.feedback.WriteCSV(f)
-	}); err != nil {
 		return err
 	}
-	if err := writeFileSync(filepath.Join(dir, historyFile), func(f *os.File) error {
-		return s.hist.WriteJSON(f)
-	}); err != nil {
-		return err
-	}
-	if err := writeFileSync(filepath.Join(dir, rulesFile), func(f *os.File) error {
-		for _, text := range st.texts {
-			if _, err := fmt.Fprintln(f, text); err != nil {
-				return err
-			}
+	for i := len(snapshotFiles) - 1; i >= 0; i-- {
+		name := snapshotFiles[i]
+		data, ok := files[name]
+		if !ok {
+			continue
 		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if winSnap != nil {
-		if err := writeFileSync(filepath.Join(dir, windowFile), func(f *os.File) error {
-			_, err := f.Write(winSnap)
-			return err
-		}); err != nil {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
 			return err
 		}
+		if _, err = f.Write(data); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
 	}
-	// The manifest goes last: a snapshot without a valid manifest is
-	// invisible to the loader, so a crash mid-snapshot can never be loaded.
-	return writeFileSync(filepath.Join(dir, manifestFile), func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(m)
-	})
+	return nil
 }
 
-func writeFileSync(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
+// errNoManifest marks a snapshot directory whose manifest is missing or does
+// not parse.
+var errNoManifest = errors.New("unreadable manifest")
+
+// readSnapshotDir reads the snapshotFiles of one snapshot directory — the
+// one reader behind the boot loader and GET /v1/wal/snapshot. A file the
+// snapshot owes but does not have (the directory is being rotated away under
+// the reader, or is corrupt) is an error wrapping fs.ErrNotExist; windowFile
+// is owed when the manifest declares it.
+func readSnapshotDir(dir string) (map[string][]byte, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	var m manifest
+	if err == nil {
+		m, err = parseManifest(raw)
+	}
 	if err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
+		return nil, fmt.Errorf("%w: %w", errNoManifest, err)
 	}
-	if err := write(f); err != nil {
-		f.Close() //nolint:errcheck // already failing
-		return fmt.Errorf("serve: snapshot %s: %w", filepath.Base(path), err)
+	files := map[string][]byte{manifestFile: raw}
+	for _, name := range snapshotFiles[1:] {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if name == windowFile && !m.Window && errors.Is(err, fs.ErrNotExist) {
+			continue // a snapshot from before the manifest declared it
+		}
+		if err != nil {
+			return nil, err
+		}
+		files[name] = data
 	}
-	if err := f.Sync(); err != nil {
-		f.Close() //nolint:errcheck // already failing
-		return fmt.Errorf("serve: snapshot %s: %w", filepath.Base(path), err)
-	}
-	return f.Close()
+	return files, nil
 }
 
-// loadLatestSnapshot loads the newest valid snapshot into s.hist and
-// s.feedback and returns its WAL position (0 when no snapshot exists).
-// Snapshots without a parseable manifest are skipped with a warning — a
-// crash mid-rename leaves a .tmp directory the loader never considers.
+// loadLatestSnapshot restores the newest valid snapshot and returns its WAL
+// position (0 when no snapshot exists). Snapshots without a parseable
+// manifest are skipped with a warning; a valid manifest over unreadable state
+// is corruption and fails loud. A crash mid-rename leaves a .tmp directory
+// the loader never considers.
 func (s *Server) loadLatestSnapshot() (uint64, error) {
 	ents, err := os.ReadDir(s.cfg.DataDir)
 	if err != nil {
@@ -434,81 +257,21 @@ func (s *Server) loadLatestSnapshot() (uint64, error) {
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] }) // newest first
 	for _, seq := range seqs {
 		dir := filepath.Join(s.cfg.DataDir, snapName(seq))
-		m, err := readManifest(filepath.Join(dir, manifestFile))
-		if err != nil {
-			s.log.Warn("skipping snapshot with unreadable manifest", "dir", dir, "err", err)
+		files, err := readSnapshotDir(dir)
+		if errors.Is(err, errNoManifest) {
+			s.log.Warn("skipping snapshot", "dir", dir, "err", err)
 			continue
 		}
-		hist, feedback, err := s.readSnapshotState(dir)
+		if err == nil {
+			err = s.restore(seq, files)
+		}
 		if err != nil {
-			// Unlike a missing manifest (crash mid-write), a valid manifest
-			// over unreadable state is corruption: fail loud.
 			return 0, fmt.Errorf("serve: snapshot %s: %w", snapName(seq), err)
 		}
-		if hist.Len() != m.Versions || feedback.Len() != m.Feedback {
-			return 0, fmt.Errorf("serve: snapshot %s disagrees with its manifest: %d versions (manifest %d), %d feedback (manifest %d)",
-				snapName(seq), hist.Len(), m.Versions, feedback.Len(), m.Feedback)
-		}
-		if s.winStore != nil {
-			wf, err := os.Open(filepath.Join(dir, windowFile))
-			switch {
-			case err == nil:
-				rerr := s.winStore.ReadSnapshot(wf)
-				wf.Close() //nolint:errcheck // read-only
-				if rerr != nil {
-					return 0, fmt.Errorf("serve: snapshot %s: %w", snapName(seq), rerr)
-				}
-			case os.IsNotExist(err):
-				// Snapshot predates windowed rules; aggregates rebuild from
-				// the observe records replayed past it, if any.
-			default:
-				return 0, fmt.Errorf("serve: snapshot %s: %w", snapName(seq), err)
-			}
-		}
-		s.hist = hist
-		s.feedback = feedback
-		s.log.Info("snapshot loaded", "dir", dir, "wal_seq", m.WALSeq,
-			"version", m.Version, "feedback", m.Feedback)
-		return m.WALSeq, nil
+		s.log.Info("snapshot loaded", "dir", dir, "wal_seq", seq, "version", s.Version(), "feedback", s.feedback.Len())
+		return seq, nil
 	}
 	return 0, nil
-}
-
-func (s *Server) readSnapshotState(dir string) (*history.Store, *relation.Relation, error) {
-	hf, err := os.Open(filepath.Join(dir, historyFile))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer hf.Close()
-	hist, err := history.ReadJSON(hf, s.schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	ff, err := os.Open(filepath.Join(dir, feedbackFile))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer ff.Close()
-	feedback, err := relation.ReadCSV(s.schema, ff)
-	if err != nil {
-		return nil, nil, err
-	}
-	return hist, feedback, nil
-}
-
-func readManifest(path string) (manifest, error) {
-	var m manifest
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, err
-	}
-	if m.Format != manifestFormat {
-		return m, fmt.Errorf("manifest format %d, this build reads %d", m.Format, manifestFormat)
-	}
-	return m, nil
 }
 
 // removeOldSnapshots deletes every snapshot older than keepSeq and any

@@ -1,28 +1,20 @@
 // The follower side of WAL-shipping replication (DESIGN.md §16): a server
 // constructed with Config.FollowURL never takes writes of its own — its
-// entire state is a pure function of the leader's WAL. Bootstrap installs
-// the leader's newest snapshot through the same readers a durable boot uses,
-// Apply replays streamed records through the same code paths as boot replay
-// (publish → hot-swap, feedback → relation, observe → window store), and the
-// scoring path stamps window columns read-only (window.PeekColumns) so local
-// traffic never mutates the mirrored aggregates. The follower's /v1/rules
-// ETag therefore equals the leader's at the same version — the invariant
-// cluster-smoke asserts.
+// entire state is a pure function of the leader's WAL, fed through the same
+// restore/apply every other role uses (state.go). The scoring path stamps
+// window columns read-only (window.PeekColumns) so local traffic never
+// mutates the mirrored aggregates. The follower's /v1/rules ETag therefore
+// equals the leader's at the same version — the invariant cluster-smoke
+// asserts.
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/history"
-	"repro/internal/index"
-	"repro/internal/relation"
 	"repro/internal/replica"
 	"repro/internal/telemetry"
 )
@@ -113,122 +105,20 @@ func (s *Server) Follow(ctx context.Context) error {
 	return rep.Run(ctx)
 }
 
-// followTarget adapts the Server to replica.Target without widening the
-// Server's public API.
+// followTarget is the replica.Target over the state machine: Bootstrap is
+// restore, Apply is apply (progress is tracked by OnApplied above).
 type followTarget struct{ s *Server }
 
-// Bootstrap installs one leader snapshot, delivered as raw file bytes, using
-// the same readers a durable boot uses on its own snapshot directory.
 func (t followTarget) Bootstrap(seq uint64, files map[string][]byte) error {
-	s := t.s
-	if seq == 0 {
-		// Fresh leader, no snapshot: start empty, every record streams in.
-		s.setApplied(0)
-		return nil
+	if err := t.s.restore(seq, files); err != nil {
+		return err
 	}
-	var m manifest
-	if err := json.Unmarshal(files[manifestFile], &m); err != nil {
-		return fmt.Errorf("snapshot manifest: %w", err)
-	}
-	if m.Format != manifestFormat {
-		return fmt.Errorf("snapshot manifest format %d, this build reads %d", m.Format, manifestFormat)
-	}
-	if m.WALSeq != seq {
-		return fmt.Errorf("snapshot manifest covers wal seq %d, expected %d", m.WALSeq, seq)
-	}
-	hist, err := history.ReadJSON(bytes.NewReader(files[historyFile]), s.schema)
-	if err != nil {
-		return fmt.Errorf("snapshot history: %w", err)
-	}
-	feedback, err := relation.ReadCSV(s.schema, bytes.NewReader(files[feedbackFile]))
-	if err != nil {
-		return fmt.Errorf("snapshot feedback: %w", err)
-	}
-	if hist.Len() != m.Versions || feedback.Len() != m.Feedback {
-		return fmt.Errorf("snapshot disagrees with its manifest: %d versions (manifest %d), %d feedback (manifest %d)",
-			hist.Len(), m.Versions, feedback.Len(), m.Feedback)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if win, ok := files[windowFile]; ok && s.winStore != nil {
-		if err := s.winStore.ReadSnapshot(bytes.NewReader(win)); err != nil {
-			return fmt.Errorf("snapshot window state: %w", err)
-		}
-	}
-	s.hist = hist
-	s.feedback = feedback
-	if v, ok := hist.Latest(); ok {
-		rs, err := hist.Checkout(hist.Len() - 1)
-		if err != nil {
-			return err
-		}
-		s.installLocked(rs, index.Compile(s.schema, rs), v)
-	}
-	s.cache.Invalidate()
-	s.follower.snapSeq.Store(seq)
-	s.setApplied(seq)
-	s.log.Info("follower bootstrapped", "leader", s.follower.leaderURL,
-		"snapshot_seq", seq, "version", m.Version, "feedback", feedback.Len())
+	t.s.follower.snapSeq.Store(seq)
+	t.s.setApplied(seq)
 	return nil
 }
 
-// Apply replays one streamed WAL record — the live twin of applyWALRecord,
-// except a replicated publish also hot-swaps immediately (boot replay defers
-// the install to the end; a follower serves while it tails).
-func (t followTarget) Apply(seq uint64, payload []byte) error {
-	s := t.s
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("record %d does not parse: %w", seq, err)
-	}
-	switch rec.Type {
-	case "feedback":
-		fb := rec.Feedback
-		if fb == nil || len(fb.Tuples) != len(fb.Labels) || len(fb.Tuples) != len(fb.Scores) {
-			return fmt.Errorf("record %d: malformed feedback batch", seq)
-		}
-		s.mu.Lock()
-		for i, vals := range fb.Tuples {
-			if _, err := s.feedback.Append(relation.Tuple(vals), relation.Label(fb.Labels[i]), fb.Scores[i]); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("record %d transaction %d: %w", seq, i, err)
-			}
-		}
-		s.mu.Unlock()
-	case "publish":
-		if rec.Publish == nil {
-			return fmt.Errorf("record %d: publish record without a version", seq)
-		}
-		s.mu.Lock()
-		if err := s.hist.Append(*rec.Publish); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("record %d: %w", seq, err)
-		}
-		rs, err := s.hist.Checkout(s.hist.Len() - 1)
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("record %d: %w", seq, err)
-		}
-		st := s.installLocked(rs, index.Compile(s.schema, rs), *rec.Publish)
-		s.mu.Unlock()
-		s.mSwaps.Inc()
-		s.log.Info("replicated publish installed", "version", st.version, "rules", rs.Len(), "seq", seq)
-	case "observe":
-		if rec.Observe == nil {
-			return fmt.Errorf("record %d: observe record without tuples", seq)
-		}
-		if s.winStore == nil {
-			return fmt.Errorf("record %d: observe record but the schema has no time attribute", seq)
-		}
-		for _, vals := range rec.Observe.Tuples {
-			s.winStore.Observe(relation.Tuple(vals))
-		}
-	default:
-		return fmt.Errorf("record %d: unknown type %q", seq, rec.Type)
-	}
-	s.setApplied(seq)
-	return nil
-}
+func (t followTarget) Apply(seq uint64, payload []byte) error { return t.s.applyPayload(seq, payload) }
 
 // readOnly blocks the given methods on a follower with the uniform envelope:
 // 403, stable code "read_only", and a Location header pointing the client at

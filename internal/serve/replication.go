@@ -15,8 +15,8 @@ package serve
 import (
 	"encoding/base64"
 	"errors"
+	"io/fs"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 
@@ -78,7 +78,8 @@ func (s *Server) handleWALSegments(w http.ResponseWriter, r *http.Request) {
 // handleWALSnapshot serves the files of one snapshot (?seq=N; default the
 // newest) base64-encoded in a single document. If the requested snapshot was
 // rotated away in the meantime the follower gets a 404 and refetches the
-// manifest — never a mix of two snapshots.
+// manifest — never a mix of two snapshots, and never a snapshot short of a
+// file its manifest declares.
 func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.methodNotAllowed(w, r, http.MethodGet)
@@ -102,22 +103,20 @@ func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, CodeNotFound, "no snapshot yet (bootstrap empty and stream from seq 1)")
 		return
 	}
-	dir := filepath.Join(s.cfg.DataDir, snapName(seq))
-	files := make(map[string]string)
-	for _, name := range []string{manifestFile, feedbackFile, historyFile, rulesFile, windowFile} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			if os.IsNotExist(err) {
-				if name == windowFile {
-					continue // optional: snapshots of window-less servers omit it
-				}
-				s.writeError(w, r, http.StatusNotFound, CodeNotFound,
-					"snapshot %d is gone (rotated away); refetch /v1/wal/segments", seq)
-				return
-			}
-			s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "reading snapshot %d: %v", seq, err)
-			return
-		}
+	raw, err := readSnapshotDir(filepath.Join(s.cfg.DataDir, snapName(seq)))
+	if errors.Is(err, fs.ErrNotExist) {
+		// Rotated away, or being rotated away right now (removal unlinks file
+		// by file): never hand out the part that is still there.
+		s.writeError(w, r, http.StatusNotFound, CodeNotFound,
+			"snapshot %d is gone (rotated away); refetch /v1/wal/segments", seq)
+		return
+	}
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "reading snapshot %d: %v", seq, err)
+		return
+	}
+	files := make(map[string]string, len(raw))
+	for name, data := range raw {
 		files[name] = base64.StdEncoding.EncodeToString(data)
 	}
 	s.writeJSON(w, http.StatusOK, walSnapshotResponse{RequestID: requestMeta(r).id, Seq: seq, Files: files})

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -223,5 +226,95 @@ func TestFollowerBootstrapsFromSnapshot(t *testing.T) {
 	var sr scoreResponse
 	if _, body := postJSON(t, fts+"/v1/score", vtx(103, 8, 50), &sr); sr.Flagged[0] {
 		t.Fatalf("unseen user flagged: %s", body)
+	}
+}
+
+// TestTornSnapshotIsRefused: a snapshot whose manifest declares window.json
+// but whose directory lost it (a follower fetching while removeOldSnapshots
+// unlinks the directory file by file) is never handed out or restored short
+// of its window state — the handler answers the "gone, refetch" 404 and
+// restore fails loud. A manifest from before the declaration existed still
+// loads, with or without a window file.
+func TestTornSnapshotIsRefused(t *testing.T) {
+	schema := velocityServeSchema(t)
+	leader, lts := newTestServer(t, Config{
+		Schema:           schema,
+		Rules:            mustRules(t, schema, "COUNT(user, 10m) >= 3"),
+		DataDir:          t.TempDir(),
+		Fsync:            "never",
+		SnapshotInterval: -1,
+	})
+	if code, body := postJSON(t, lts.URL+"/v1/score", vtx(100, 7, 50), nil); code != http.StatusOK {
+		t.Fatalf("leader score: %d %s", code, body)
+	}
+	if err := leader.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	seq := leader.lastSnapSeq
+	dir := filepath.Join(leader.cfg.DataDir, snapName(seq))
+	intact, err := readSnapshotDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := parseManifest(intact[manifestFile]); err != nil || !m.Window || intact[windowFile] == nil {
+		t.Fatalf("snapshot manifest = %+v (err %v), want window declared and shipped", m, err)
+	}
+	restoreInto := func(files map[string][]byte) (*Server, error) {
+		f, err := New(Config{Schema: schema, FollowURL: "http://leader.invalid", AlertInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() }) //nolint:errcheck // test teardown
+		return f, f.restore(seq, files)
+	}
+
+	if err := os.Remove(filepath.Join(dir, windowFile)); err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	resp, err := http.Get(lts.URL + "/v1/wal/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, resp, &er)
+	if resp.StatusCode != http.StatusNotFound || er.Error.Code != CodeNotFound {
+		t.Fatalf("GET /v1/wal/snapshot of a torn snapshot = %d %+v, want 404 %s", resp.StatusCode, er, CodeNotFound)
+	}
+	torn := maps.Clone(intact)
+	delete(torn, windowFile)
+	if _, err := restoreInto(torn); err == nil || !strings.Contains(err.Error(), windowFile) {
+		t.Fatalf("restore of a torn snapshot: err = %v, want a missing-%s failure", err, windowFile)
+	}
+	crashed := t.TempDir()
+	copyDir(t, crashed, leader.cfg.DataDir)
+	if _, err := New(Config{Schema: schema, Rules: leader.cfg.Rules, DataDir: crashed}); err == nil || !strings.Contains(err.Error(), windowFile) {
+		t.Fatalf("boot on a torn snapshot: err = %v, want a missing-%s failure", err, windowFile)
+	}
+
+	// The same directory under an old-format manifest (no "window" key): the
+	// window file is optional again.
+	var m map[string]any
+	if err := json.Unmarshal(intact[manifestFile], &m); err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "window")
+	old, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var doc walSnapshotResponse
+	if code := getJSON(t, lts.URL+"/v1/wal/snapshot", &doc); code != http.StatusOK || doc.Files[windowFile] != "" || len(doc.Files) != 3 {
+		t.Fatalf("GET /v1/wal/snapshot under an old manifest = %d with files %v, want 200 without %s", code, doc.Files, windowFile)
+	}
+	torn[manifestFile] = old
+	if f, err := restoreInto(torn); err != nil || f.Version() != leader.Version() {
+		t.Fatalf("restore under an old manifest: version %d, err %v; want version %d", f.Version(), err, leader.Version())
+	}
+	intact[manifestFile] = old
+	if f, err := restoreInto(intact); err != nil || f.winStore.Entries() == 0 {
+		t.Fatalf("restore under an old manifest with a window file: %d entries, err %v; want them loaded", f.winStore.Entries(), err)
 	}
 }

@@ -10,9 +10,7 @@
 //
 //   - The public surface is the versioned /v1 API: POST /v1/score,
 //     GET+POST /v1/rules, POST /v1/feedback, POST /v1/refine, GET
-//     /v1/stats, GET /v1/schema, GET /v1/trace. The pre-/v1 unversioned
-//     paths answer 308 Permanent Redirect to their /v1 successors with a
-//     Deprecation header, for one release. Every non-2xx JSON response
+//     /v1/stats, GET /v1/schema, GET /v1/trace. Every non-2xx JSON response
 //     carries the uniform error envelope
 //     {"error":{"code","message","request_id"}} with stable machine codes.
 //   - The published rule set lives behind an atomic pointer as a
@@ -31,8 +29,9 @@
 //     batch and every publish is written to an internal/wal write-ahead
 //     log before it is acknowledged, periodic snapshots bound replay
 //     time, and New replays snapshot+WAL before returning — a crashed
-//     daemon restarts with the exact version and feedback it acked. See
-//     durable.go and DESIGN.md §11.
+//     daemon restarts with the exact version and feedback it acked. The
+//     leader, that replay and a follower all change state through the one
+//     state machine in state.go. See durable.go and DESIGN.md §11.
 //   - Feedback (fraud/legit verdicts, plus unlabeled context traffic)
 //     appends to a server-side relation watched by an incremental
 //     capture.Cache, so POST /v1/refine runs a refinement session in
@@ -75,59 +74,18 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wal"
-	"repro/internal/window"
 )
-
-// ruleState is one published version: the rule set, its compiled evaluator
-// and the history version id. Immutable once published — swaps build a new
-// state and atomically replace the pointer.
-type ruleState struct {
-	version int
-	set     *rules.Set
-	ev      *index.Evaluator
-	texts   []string
-	// textsJSON holds each rule text pre-escaped as a JSON string literal
-	// (quotes included), computed once per publish so the score encode path
-	// never re-escapes rule texts per response.
-	textsJSON []string
-	// winSpecs is the evaluator's window-spec registry (nil for purely
-	// per-tuple rule sets). The scoring path observes every transaction into
-	// the live aggregate store and stamps these exact specs' columns onto the
-	// batch, so the compiled evaluator's exact-match fast path applies.
-	winSpecs []window.Spec
-	// winJSON holds each spec's atom (e.g. "COUNT(user, 10m)") pre-escaped
-	// as a JSON string literal, indexed like winSpecs — the explain encode
-	// path's lookup table for windowed checks.
-	winJSON []string
-}
 
 // Server is the scoring daemon. Create with New, mount via Handler, run
 // with Serve (or any http.Server; call Close on teardown when running
 // outside Serve).
 type Server struct {
-	cfg    Config
-	schema *relation.Schema
+	cfg Config
 
-	state atomic.Pointer[ruleState]
-
-	// mu serializes control-plane state: rule swaps, history commits,
-	// feedback appends, WAL writes, snapshots, the capture cache and
-	// refinement. The scoring data plane never takes it.
-	mu       sync.Mutex
-	hist     *history.Store
-	feedback *relation.Relation
-	cache    *capture.Cache
-
-	// winStore is the live sliding-window aggregate store behind windowed
-	// rules (nil when the schema has no time attribute, in which case no
-	// windowed rule can parse). obsMu serializes the observe path: the WAL
-	// "observe" append and the store mutation happen atomically with respect
-	// to publishes (spec registration) and snapshots (store serialization),
-	// so WAL order always equals observation order and replay is
-	// deterministic. Lock order: s.mu before obsMu; the scoring path takes
-	// obsMu alone.
-	winStore *window.Store
-	obsMu    sync.Mutex
+	// replicated is the state machine behind every mutation (state.go): the
+	// published rules, the version history, the feedback relation, the window
+	// store and their locks.
+	*replicated
 
 	draining atomic.Bool
 	// drainCh is closed (once) when draining starts; long-lived responses
@@ -253,21 +211,18 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	hist := cfg.History
-	if hist == nil {
-		hist = history.NewStore(cfg.Schema)
+	state, err := newReplicated(cfg.Schema, cfg.History)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		schema:   cfg.Schema,
-		hist:     hist,
-		feedback: relation.New(cfg.Schema),
-		cache:    capture.New(),
-		sem:      make(chan struct{}, cfg.Workers),
-		reg:      cfg.Registry,
-		log:      cfg.Logger,
-		started:  time.Now(),
-		drainCh:  make(chan struct{}),
+		cfg:        cfg,
+		replicated: state,
+		sem:        make(chan struct{}, cfg.Workers),
+		reg:        cfg.Registry,
+		log:        cfg.Logger,
+		started:    time.Now(),
+		drainCh:    make(chan struct{}),
 	}
 	if cfg.FollowURL != "" {
 		s.follower = &followerState{leaderURL: strings.TrimRight(cfg.FollowURL, "/")}
@@ -275,9 +230,6 @@ func New(cfg Config) (*Server, error) {
 	s.attrJSON = make([]string, cfg.Schema.Arity())
 	for i := range s.attrJSON {
 		s.attrJSON[i] = string(appendJSONString(nil, cfg.Schema.Attr(i).Name))
-	}
-	if cfg.Schema.TimeAttr() >= 0 {
-		s.winStore = window.New(window.Config{TimeAttr: cfg.Schema.TimeAttr()})
 	}
 	s.stats = rulestats.New(rulestats.Config{
 		HalfLife:      cfg.DriftHalfLife,
@@ -307,26 +259,20 @@ func New(cfg Config) (*Server, error) {
 			}
 		}})
 	s.cache.Tracer = s.tracer
+	s.onInstall = s.published
 
 	restored := false
 	if cfg.DataDir != "" {
-		var err error
 		restored, err = s.openDurability()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if s.follower != nil {
-		// A follower's entire state is a function of the leader's WAL: do not
-		// mint a local version 1. Install an empty version-0 state so the
-		// server is constructible and scoreable (zero rules, nothing flags)
-		// before Follow bootstraps; /readyz reports not-ready until then. The
-		// leader's first WAL record is its own v1 publish, which replays here.
-		rs := rules.NewSet()
-		s.mu.Lock()
-		s.installLocked(rs, index.Compile(s.schema, rs), history.Version{})
-		s.mu.Unlock()
-	} else if !restored {
+	// A follower's entire state is a function of the leader's WAL: it mints
+	// no local version 1 and serves the empty version 0 (zero rules, nothing
+	// flags) until Follow bootstraps; /readyz reports not-ready until then.
+	// The leader's first WAL record is its own v1 publish, which replays here.
+	if s.follower == nil && !restored {
 		s.mu.Lock()
 		_, err := s.publishLocked(cfg.Rules.Clone(), nil, "initial rules")
 		s.mu.Unlock()
@@ -482,74 +428,32 @@ func (s *Server) initMetrics() {
 	s.rc = newRuntimeCollector(r)
 }
 
-// publishLocked compiles rs, logs the publish to the WAL (when durable),
-// commits it to history and atomically publishes the new state. The WAL
-// write happens before any in-memory state changes: a publish that cannot
-// be made durable is not made at all. Callers hold s.mu.
+// publishLocked commits rs as the next version and returns the state it
+// produced. Callers hold s.mu; obsMu joins it for the commit.
 func (s *Server) publishLocked(rs *rules.Set, mods []core.Modification, comment string) (*ruleState, error) {
-	ev := index.Compile(s.schema, rs)
 	v := s.hist.Build(rs, mods, comment)
-	// The WAL publish record and the spec registration happen under the
-	// observe lock: replay registers a publish's window specs before applying
-	// any later observe record, so the store's spec set at every WAL position
-	// is identical live and replayed.
-	specs := ev.WindowSpecs()
-	if s.wal != nil || (len(specs) > 0 && s.winStore != nil) {
-		s.obsMu.Lock()
-		if s.wal != nil {
-			if err := s.walAppendPublish(v); err != nil {
-				s.obsMu.Unlock()
-				return nil, err
-			}
-		}
-		if len(specs) > 0 && s.winStore != nil {
-			s.winStore.EnsureSpecs(specs)
-		}
-		s.obsMu.Unlock()
+	s.obsMu.Lock()
+	err := s.commit(&walRecord{Type: recPublish, Time: v.Time, Publish: &v})
+	s.obsMu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	if err := s.hist.Append(v); err != nil {
-		// Unreachable by construction (Build assigns the next id and the
-		// rules came from a parsed set); fail loud rather than diverge from
-		// the WAL.
-		return nil, fmt.Errorf("serve: committing version %d: %w", v.ID, err)
-	}
-	st := s.installLocked(rs, ev, v)
-	s.mSwaps.Inc()
-	s.log.Info("rules published", "version", st.version, "rules", rs.Len(), "comment", comment)
-	return st, nil
+	return s.state.Load(), nil
 }
 
-// installLocked atomically publishes an already-committed version (the
-// shared tail of live publishes and WAL replay). Callers hold s.mu.
-func (s *Server) installLocked(rs *rules.Set, ev *index.Evaluator, v history.Version) *ruleState {
-	st := &ruleState{version: v.ID, set: rs, ev: ev, texts: v.Rules}
-	st.textsJSON = make([]string, len(v.Rules))
-	for i, text := range v.Rules {
-		st.textsJSON[i] = string(appendJSONString(nil, text))
-	}
-	if specs := ev.WindowSpecs(); len(specs) > 0 {
-		st.winSpecs = specs
-		st.winJSON = make([]string, len(specs))
-		for i, sp := range specs {
-			st.winJSON[i] = string(appendJSONString(nil, rules.FormatWindowAtom(s.schema, sp)))
-		}
-		if s.winStore != nil {
-			s.winStore.EnsureSpecs(specs) // replay path: publishes bypass publishLocked
-		}
-	}
-	s.state.Store(st)
-	// The capture cache mirrors the published rules over the feedback
-	// relation; a publish invalidates it wholesale (rule count may match
-	// across a swap, so length-drift detection is not enough).
-	s.cache.Invalidate()
+// published is the state machine's onInstall hook: the non-replicated side
+// effects of a newly installed version, whichever role installed it and
+// however (live publish, replayed or replicated publish record, snapshot).
+func (s *Server) published(st *ruleState, seq uint64, comment string) {
 	// Per-rule health restarts with every publish: fire counts, baselines
 	// and FP/TP estimates are only meaningful relative to the serving rules.
 	// (The sampled audit ring survives — its entries carry their version.)
-	s.stats.Reset(st.version, rs.Len())
+	s.stats.Reset(st.version, st.set.Len())
 	s.mVersion.Set(int64(st.version))
 	s.mRulesetVer.Set(int64(st.version))
-	s.mRuleCount.Set(int64(rs.Len()))
-	return st
+	s.mRuleCount.Set(int64(st.set.Len()))
+	s.mSwaps.Inc()
+	s.log.Info("rules published", "version", st.version, "rules", st.set.Len(), "seq", seq, "comment", comment)
 }
 
 // captureLocked returns the capture cache bound to the feedback relation
@@ -596,73 +500,49 @@ func (s *Server) SetDraining(v bool) {
 	}
 }
 
-// v1Routes maps the route basename (also the request-span suffix) to its
-// handler constructor; shared by the /v1 table and the legacy redirects.
-func (s *Server) v1Routes() []struct {
-	base string
-	h    http.Handler
-} {
-	return []struct {
-		base string
-		h    http.Handler
-	}{
-		{"score", s.timeout(http.HandlerFunc(s.handleScore), s.cfg.ScoreTimeout)},
-		// The mutating routes are wrapped by the read-only guard: on a
-		// follower their write methods answer 403 "read_only" with a Location
-		// header pointing at the leader; their read methods (GET /v1/rules)
-		// and wrong-method 405s pass through. No-op on a leader.
-		{"rules", s.readOnly(s.timeout(http.HandlerFunc(s.handleRules), s.cfg.SwapTimeout), http.MethodPost)},
-		{"feedback", s.readOnly(s.timeout(http.HandlerFunc(s.handleFeedback), s.cfg.FeedbackTimeout), http.MethodPost)},
-		{"refine", s.readOnly(s.timeout(http.HandlerFunc(s.handleRefine), s.cfg.RefineTimeout), http.MethodPost)},
-		{"stats", http.HandlerFunc(s.handleStats)},
-		{"schema", http.HandlerFunc(s.handleSchema)},
-	}
-}
-
-// Handler returns the daemon's route table: the versioned /v1 surface,
-// 308 redirects from the legacy unversioned paths (with a Deprecation
-// header), and the unversioned infrastructure endpoints (/healthz, /readyz,
-// /metrics).
+// Handler returns the daemon's route table: the versioned /v1 surface and
+// the unversioned infrastructure endpoints (/healthz, /readyz, /metrics).
+// Anything else answers the uniform 404 envelope.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, rt := range s.v1Routes() {
-		path := "/v1/" + rt.base
-		mux.Handle(path, s.instrument(path, rt.base, rt.h))
-		mux.Handle("/"+rt.base, legacyRedirect(path))
-	}
-	// The observability endpoints are /v1-only (they never existed
-	// unversioned, so no legacy redirects).
-	mux.Handle("/v1/rules/health", s.instrument("/v1/rules/health", "rules_health", http.HandlerFunc(s.handleRuleHealth)))
-	mux.Handle("/v1/audit", s.instrument("/v1/audit", "audit", http.HandlerFunc(s.handleAudit)))
+	// mount instruments h under the request span request.<span>.
+	mount := func(path, span string, h http.Handler) { mux.Handle(path, s.instrument(path, span, h)) }
+	mount("/v1/score", "score", s.timeout(http.HandlerFunc(s.handleScore), s.cfg.ScoreTimeout))
+	// The mutating routes are wrapped by the read-only guard: on a follower
+	// their write methods answer 403 "read_only" with a Location header
+	// pointing at the leader; their read methods (GET /v1/rules) and
+	// wrong-method 405s pass through. No-op on a leader.
+	mount("/v1/rules", "rules", s.readOnly(s.timeout(http.HandlerFunc(s.handleRules), s.cfg.SwapTimeout), http.MethodPost))
+	mount("/v1/feedback", "feedback", s.readOnly(s.timeout(http.HandlerFunc(s.handleFeedback), s.cfg.FeedbackTimeout), http.MethodPost))
+	mount("/v1/refine", "refine", s.readOnly(s.timeout(http.HandlerFunc(s.handleRefine), s.cfg.RefineTimeout), http.MethodPost))
+	mount("/v1/stats", "stats", http.HandlerFunc(s.handleStats))
+	mount("/v1/schema", "schema", http.HandlerFunc(s.handleSchema))
+	mount("/v1/rules/health", "rules_health", http.HandlerFunc(s.handleRuleHealth))
+	mount("/v1/audit", "audit", http.HandlerFunc(s.handleAudit))
 	// /v1/alerts: the alert engine's readout and rule surface. Deliberately
 	// not readOnly-wrapped — each node alerts on its own signals (a
 	// follower's replication lag is exactly what its alert rules watch), so
 	// rule installs are node-local on every role. See DESIGN.md §17.
-	mux.Handle("/v1/alerts", s.instrument("/v1/alerts", "alerts", http.HandlerFunc(s.handleAlerts)))
+	mount("/v1/alerts", "alerts", http.HandlerFunc(s.handleAlerts))
 	// /v1/status: the role-aware node identity document, served identically
 	// by leaders and followers.
-	mux.Handle("/v1/status", s.instrument("/v1/status", "status", http.HandlerFunc(s.handleStatus)))
+	mount("/v1/status", "status", http.HandlerFunc(s.handleStatus))
 	// The replication surface (leader side; see replication.go). The manifest
 	// and snapshot endpoints are ordinary instrumented GETs; the stream is
 	// deliberately uninstrumented and untimed — it is long-lived by design
 	// (a span that lives for minutes would always be promoted into the slow
 	// ring, and a timeout would sever healthy followers).
-	mux.Handle("/v1/wal/segments", s.instrument("/v1/wal/segments", "wal_segments", http.HandlerFunc(s.handleWALSegments)))
-	mux.Handle("/v1/wal/snapshot", s.instrument("/v1/wal/snapshot", "wal_snapshot", http.HandlerFunc(s.handleWALSnapshot)))
+	mount("/v1/wal/segments", "wal_segments", http.HandlerFunc(s.handleWALSegments))
+	mount("/v1/wal/snapshot", "wal_snapshot", http.HandlerFunc(s.handleWALSnapshot))
 	mux.Handle("/v1/wal/stream", http.HandlerFunc(s.handleWALStream))
 	// /v1/trace is deliberately uninstrumented: fetching the trace must not
 	// append request spans to the very ring being exported.
 	mux.Handle("/v1/trace", http.HandlerFunc(s.handleTrace))
-	mux.Handle("/trace", legacyRedirect("/v1/trace"))
 	// The debug endpoints are uninstrumented for the same reason: inspecting
 	// the slow ring must not mint request spans that could themselves be
 	// promoted into it.
 	mux.Handle("/v1/debug/slow", http.HandlerFunc(s.handleDebugSlow))
 	mux.Handle("/v1/debug/state", http.HandlerFunc(s.handleDebugState))
-	// The debug endpoints predate /v1 in tooling bookmarks; redirect the
-	// unversioned spellings like the rest of the legacy surface.
-	mux.Handle("/debug/slow", legacyRedirect("/v1/debug/slow"))
-	mux.Handle("/debug/state", legacyRedirect("/v1/debug/state"))
 	mux.Handle("/healthz", http.HandlerFunc(s.handleHealthz))
 	mux.Handle("/readyz", http.HandlerFunc(s.handleReadyz))
 	metricsHandler := s.reg.Handler()
@@ -680,22 +560,6 @@ func (s *Server) Handler() http.Handler {
 		s.writeErrorID(w, "", http.StatusNotFound, CodeNotFound, "no route %s %s (the API lives under /v1)", r.Method, r.URL.Path)
 	}))
 	return mux
-}
-
-// legacyRedirect answers the pre-/v1 unversioned paths: a 308 Permanent
-// Redirect to the /v1 successor (308 preserves method and body, so POSTs
-// survive the hop) plus a Deprecation header and a successor-version Link,
-// kept for one release.
-func legacyRedirect(target string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", target, "successor-version"))
-		u := target
-		if r.URL.RawQuery != "" {
-			u += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, u, http.StatusPermanentRedirect)
-	})
 }
 
 // handleTrace exports the daemon's recent spans: Chrome trace_event JSON by
@@ -1106,12 +970,16 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			// goroutine's concurrent Observe applies).
 			rel.SetWindowColumns(s.winStore.PeekColumns(rel, st.winSpecs))
 		} else {
+			// The leader's observe commit, and the one mutation that does not
+			// go through apply: StampColumns is apply(observe) — Observe per
+			// tuple, in order — plus the per-tuple aggregate read this
+			// response needs, which a replayed record has no use for.
 			// Waiting on obsMu is attributed to the window stage; the durable
 			// observe append (including its synchronous fsync) to wal_append.
 			s.obsMu.Lock()
 			if s.wal != nil {
 				clock.begin(stageWAL)
-				err := s.walAppendObserve(rel)
+				_, err := s.walAppend(observeRecord(rel))
 				clock.begin(stageWindow)
 				if err != nil {
 					s.obsMu.Unlock()
@@ -1352,16 +1220,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	if s.wal != nil {
-		if err := s.walAppendFeedback(batch); err != nil {
-			s.mu.Unlock()
-			s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "persisting feedback: %v", err)
-			return
-		}
-	}
 	base := s.feedback.Len()
-	for i := 0; i < batch.Len(); i++ {
-		s.feedback.MustAppend(batch.Tuple(i), batch.Label(i), batch.Score(i))
+	if err := s.commit(feedbackRecord(batch)); err != nil {
+		s.mu.Unlock()
+		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "persisting feedback: %v", err)
+		return
 	}
 	st := s.state.Load()
 	cache := s.captureLocked(st)
@@ -1381,27 +1244,21 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// Join the labels against the capturing rules: the per-rule FP/TP
 	// evidence behind GET /v1/rules/health and the feedback counter series.
 	for i, lab := range labels {
-		fraud := lab == relation.Fraud
-		legit := lab == relation.Legitimate
-		s.stats.RecordFeedback(fraud, legit, capturing[i])
-		if fraud || legit {
-			for _, ri := range capturing[i] {
-				if fraud {
-					s.vRuleTP.With(strconv.Itoa(ri)).Inc()
-				} else {
-					s.vRuleFP.With(strconv.Itoa(ri)).Inc()
-				}
-			}
-		}
-	}
-	for _, lab := range labels {
+		s.stats.RecordFeedback(lab == relation.Fraud, lab == relation.Legitimate, capturing[i])
+		var perRule *telemetry.CounterVec
 		switch lab {
 		case relation.Fraud:
 			s.mFeedbackFraud.Inc()
+			perRule = s.vRuleTP
 		case relation.Legitimate:
 			s.mFeedbackLegit.Inc()
+			perRule = s.vRuleFP
 		default:
 			s.mFeedbackUnlabeled.Inc()
+			continue
+		}
+		for _, ri := range capturing[i] {
+			perRule.With(strconv.Itoa(ri)).Inc()
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

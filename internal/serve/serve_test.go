@@ -412,7 +412,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestSchemaEndpoint(t *testing.T) {
 	schema := testSchema(t)
 	_, ts := newTestServer(t, Config{Schema: schema, Rules: rules.NewSet()})
-	resp, err := http.Get(ts.URL + "/schema")
+	resp, err := http.Get(ts.URL + "/v1/schema")
 	if err != nil {
 		t.Fatal(err)
 	}

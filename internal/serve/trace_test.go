@@ -87,7 +87,7 @@ func TestTraceEndpointAfterRefine(t *testing.T) {
 	}
 
 	// Chrome format: one JSON document with traceEvents.
-	resp, err := http.Get(ts.URL + "/trace")
+	resp, err := http.Get(ts.URL + "/v1/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTraceEndpointAfterRefine(t *testing.T) {
 	}
 
 	// JSONL format: every line parses.
-	resp, err = http.Get(ts.URL + "/trace?format=jsonl")
+	resp, err = http.Get(ts.URL + "/v1/trace?format=jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestConcurrentScoreTracing(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			resp, err := http.Get(ts.URL + "/trace")
+			resp, err := http.Get(ts.URL + "/v1/trace")
 			if err != nil {
 				t.Error(err)
 				return
@@ -228,7 +228,7 @@ func TestConcurrentScoreTracing(t *testing.T) {
 	wg.Wait()
 	<-done
 
-	resp, err := http.Get(ts.URL + "/trace?format=jsonl")
+	resp, err := http.Get(ts.URL + "/v1/trace?format=jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}

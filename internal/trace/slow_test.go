@@ -157,7 +157,11 @@ func TestSlowDisabledAndNil(t *testing.T) {
 // TestConcurrentSlowPromotion hammers promotion and the read API from many
 // goroutines; run under -race this is the slow ring's data-race proof.
 func TestConcurrentSlowPromotion(t *testing.T) {
-	tr := slowTracer(16, time.Nanosecond)
+	// The main ring holds every record the test emits: a goroutine descheduled
+	// between emitting its root and collecting the track (routine on two
+	// cores) must still find the root, or the exact Promoted count below is
+	// a scheduling lottery.
+	tr := New(Options{Capacity: 8 * 200 * 2, SlowCapacity: 16, SlowFloor: time.Nanosecond, SlowRootPrefix: "request."})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -1,5 +1,5 @@
 // Command checktrace validates a Chrome trace_event JSON file produced by
-// the rudolf tracer (GET /trace on rudolfd, rudolf -trace-out, or
+// the rudolf tracer (GET /v1/trace on rudolfd, rudolf -trace-out, or
 // experiments -traces). It is the assertion half of `make trace-demo`:
 // beyond well-formedness it checks the span tree is structurally sound
 // (parents contain their children in time on the same track) and that the
@@ -12,7 +12,7 @@
 //
 // The argument is a path or an http(s) URL; with -o the fetched bytes are
 // also written to a file (so one invocation can both dump and validate a
-// live daemon's /trace). Exits non-zero with a diagnostic on any violation.
+// live daemon's /v1/trace). Exits non-zero with a diagnostic on any violation.
 package main
 
 import (

@@ -4,8 +4,8 @@
 # (feedback batches + rule republishes) with cmd/loadgen, kill the daemon
 # with SIGKILL mid-flight, restart it on the same data directory, and assert
 # with `loadgen -resume` that the rule-set version and feedback count
-# survived the crash, that the boot replayed WAL records, that errors arrive
-# in the uniform envelope, and that legacy paths still answer 308 redirects.
+# survived the crash, that the boot replayed WAL records, and that errors
+# arrive in the uniform envelope.
 # -velocity additionally publishes a windowed COUNT rule and scores part of
 # a same-key burst before the kill; the resume run finishes the burst and
 # requires the rule to fire with window margin exactly 0 — proof the crash
