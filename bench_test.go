@@ -266,7 +266,7 @@ func BenchmarkGeneralizationScore(b *testing.B) {
 	w := cost.DefaultWeights()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cost.GeneralizationScore(s, rel, rs.Rule(0), rep.Conds, w)
+		cost.GeneralizationScore(s, rel, rs.Rule(0), nil, rep.Conds, w)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -72,9 +73,17 @@ func ruleContainsRep(schema *relation.Schema, r *rules.Rule, rep cluster.Represe
 }
 
 // generalizeForRep runs the per-cluster loop of Algorithm 1 (lines 5-18).
+//
+// Top-k(f(C)) is computed only for a cluster that needs work, which is where
+// Algorithm 1 computes it too. Ranking reads the capture cache and changes
+// nothing, so placing it behind the check cannot alter a decision; most
+// clusters are handled on arrival and are never ranked.
 func (s *Session) generalizeForRep(rel *relation.Relation, schema *relation.Schema, rep cluster.Representative) {
+	if s.repHandled(rel, schema, rep) {
+		return
+	}
 	topK := s.rankRules(rel, schema, rep)
-	for !s.repHandled(rel, schema, rep) {
+	for handled := false; !handled; handled = s.repHandled(rel, schema, rep) {
 		if len(topK) == 0 {
 			// Line 18: create a rule selecting exactly the representative.
 			// The new rule is also shown to the expert, who may widen it
@@ -285,33 +294,62 @@ func (s *Session) addExactRule(rel *relation.Relation, schema *relation.Schema, 
 // rankedRule pairs a rule (tracked by identity, since indices shift under
 // mid-loop removals) with its Equation 2 score and the Definition 3.1 deltas
 // of its minimal generalization, kept so the proposal (and its trace span)
-// can report them without re-scanning the relation.
+// can report them without re-scanning the relation. index is the rule's
+// position when ranked, which breaks score ties.
 type rankedRule struct {
 	rule       *rules.Rule
+	index      int
 	score      float64
 	dF, dL, dR int
 }
 
 // rankRules computes Top-k(f(C)) of Algorithm 1 line 4: the k rules with the
-// lowest Equation 2 score for the representative. The current capture set of
-// each rule is read off the incremental cache, so scoring costs one scan for
-// the hypothetical generalization only.
+// lowest Equation 2 score for the representative, ties going to the lower
+// rule index.
+//
+// Scoring a rule exactly costs a scan of the relation for its hypothetical
+// generalization, and only k rules are kept, so the scan is spent on the
+// rules that can still make the cut: every rule first gets the scan-free
+// lower bound of cost.GeneralizationBound (its current capture set is read
+// off the incremental cache), rules are scored in ascending-bound order, and
+// scoring stops at the first rule whose bound is strictly above the k-th
+// best exact score so far — it, and everything after it, can neither beat
+// that score nor tie it. The result is the one an exhaustive
+// score-everything-then-stable-sort ranking gives.
 func (s *Session) rankRules(rel *relation.Relation, schema *relation.Schema, rep cluster.Representative) []rankedRule {
 	sp, done := s.startPhase("generalize.rank")
 	defer done()
-	w := s.opts.weights()
+	w, k := s.opts.weights(), s.opts.topK()
 	cache := s.captureFor(rel)
-	ranked := make([]rankedRule, 0, s.ruleSet.Len())
-	for i, r := range s.ruleSet.Rules() {
-		sc, _, dF, dL, dR := cost.GeneralizationScoreDetail(schema, rel, r, cache.RuleCaptures(i), rep.Conds, w)
-		ranked = append(ranked, rankedRule{rule: r, score: sc, dF: dF, dL: dL, dR: dR})
+	all := s.ruleSet.Rules()
+	frauds := rel.Indices(relation.Fraud)
+	bounds := make([]float64, len(all))
+	order := make([]int, len(all))
+	for i, r := range all {
+		bounds[i] = cost.GeneralizationBound(schema, rel, r, cache.RuleCaptures(i), frauds, rep.Conds, w)
+		order[i] = i
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score < ranked[j].score })
-	if k := s.opts.topK(); len(ranked) > k {
-		ranked = ranked[:k]
+	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
+
+	top := make([]rankedRule, 0, k+1)
+	scanned := 0
+	for _, i := range order {
+		if len(top) == k && bounds[i] > top[k-1].score {
+			break
+		}
+		scanned++
+		sc, _, dF, dL, dR := cost.GeneralizationScore(schema, rel, all[i], cache.RuleCaptures(i), rep.Conds, w)
+		at := sort.Search(len(top), func(j int) bool {
+			return top[j].score > sc || top[j].score == sc && top[j].index > i
+		})
+		top = slices.Insert(top, at, rankedRule{rule: all[i], index: i, score: sc, dF: dF, dL: dL, dR: dR})
+		if len(top) > k {
+			top = top[:k]
+		}
 	}
-	sp.Int("rules", int64(s.ruleSet.Len())).Int("top_k", int64(len(ranked)))
-	return ranked
+	sp.Int("rules", int64(len(all))).Int("top_k", int64(len(top))).
+		Int("scanned", int64(scanned)).Int("pruned", int64(len(all)-scanned))
+	return top
 }
 
 // enforceNumericOnly reverts any categorical condition of r that differs

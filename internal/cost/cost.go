@@ -7,6 +7,8 @@
 package cost
 
 import (
+	"math"
+
 	"repro/internal/bitset"
 	"repro/internal/relation"
 	"repro/internal/rules"
@@ -121,34 +123,19 @@ func deltasFromSets(oldCap, newCap *bitset.Set, rel *relation.Relation) (dF, dL,
 // GeneralizationScore is Equation 2: the cost of modifying rule r so that it
 // captures the target pattern, computed as the Equation 1 distance minus the
 // benefit of the minimal generalization (with deltas evaluated on the rule
-// in isolation, as in Example 4.4). Lower is better. The returned rule is
-// the minimal generalization itself, so callers ranking rules do not have to
-// recompute it.
+// in isolation, as in Example 4.4). Lower is better. Alongside the score it
+// returns the minimal generalization itself and its Definition 3.1 deltas —
+// ΔF (frauds gained), ΔL (legitimate captures avoided; negative when the
+// widening captures more) and ΔR (unlabeled captures avoided) — so callers
+// ranking rules neither recompute the rule nor re-scan the relation to
+// report them.
+//
+// oldCap is the rule's current capture set over rel, typically read off an
+// incremental capture cache, which saves one of the two full-relation scans;
+// nil falls back to evaluating r.
 func GeneralizationScore(s *relation.Schema, rel *relation.Relation,
-	r *rules.Rule, target []rules.Condition, w Weights) (float64, *rules.Rule) {
-	return GeneralizationScoreCached(s, rel, r, nil, target, w)
-}
-
-// GeneralizationScoreCached is GeneralizationScore with the rule's current
-// capture set supplied by the caller — typically read off an incremental
-// capture cache — which saves one full-relation scan per ranked rule in the
-// top-k loop of Algorithm 1. A nil oldCap falls back to evaluating r.
-func GeneralizationScoreCached(s *relation.Schema, rel *relation.Relation,
-	r *rules.Rule, oldCap *bitset.Set, target []rules.Condition, w Weights) (float64, *rules.Rule) {
-	score, gen, _, _, _ := GeneralizationScoreDetail(s, rel, r, oldCap, target, w)
-	return score, gen
-}
-
-// GeneralizationScoreDetail is GeneralizationScoreCached additionally
-// returning the Definition 3.1 deltas of the minimal generalization — ΔF
-// (frauds gained), ΔL (legitimate captures avoided; negative when the
-// widening captures more) and ΔR (unlabeled captures avoided). The deltas
-// are computed while scoring anyway; returning them lets the refinement
-// tracer attribute every expert question without a second relation scan.
-func GeneralizationScoreDetail(s *relation.Schema, rel *relation.Relation,
 	r *rules.Rule, oldCap *bitset.Set, target []rules.Condition, w Weights) (score float64, gen *rules.Rule, dF, dL, dR int) {
 	gen, changed := rules.GeneralizeToCover(s, r, target)
-	dist := RuleDistance(s, r, target)
 	if len(changed) == 0 {
 		// Already capturing: distance 0, and no behaviour change.
 		return 0, gen, 0, 0, 0
@@ -157,7 +144,40 @@ func GeneralizationScoreDetail(s *relation.Schema, rel *relation.Relation,
 		oldCap = r.Captures(rel)
 	}
 	dF, dL, dR = deltasFromSets(oldCap, gen.Captures(rel), rel)
-	return dist - w.Benefit(dF, dL, dR), gen, dF, dL, dR
+	return RuleDistance(s, r, target) - w.Benefit(dF, dL, dR), gen, dF, dL, dR
+}
+
+// GeneralizationBound returns a lower bound on GeneralizationScore for the
+// same arguments without scanning the relation, so a top-k ranking can skip
+// the full scan of every rule whose bound already exceeds its k-th best
+// score. oldCap is r's capture set over rel (required here) and frauds
+// lists the fraudulent transactions of rel.
+//
+// It rests on two preconditions. A minimal generalization only widens
+// conditions, so gen(I) ⊇ r(I): no capture is lost, hence ΔL ≤ 0 and
+// ΔR ≤ 0, and ΔF is exactly the number of frauds outside oldCap that gen
+// admits — a handful of rows. And β, γ ≥ 0 (Definition 3.1), so the two
+// non-positive terms can only lower the benefit: score ≥ distance − α·ΔF.
+// The bound is that expression, computed through the same Weights.Benefit
+// so that floating-point rounding keeps it ≤ the score. With a negative β or
+// γ the inequality fails and the bound is −Inf: still valid, prunes nothing.
+func GeneralizationBound(s *relation.Schema, rel *relation.Relation,
+	r *rules.Rule, oldCap *bitset.Set, frauds []int, target []rules.Condition, w Weights) float64 {
+	if w.Beta < 0 || w.Gamma < 0 {
+		return math.Inf(-1)
+	}
+	gen, changed := rules.GeneralizeToCover(s, r, target)
+	if len(changed) == 0 {
+		return 0
+	}
+	missed := make([]int, 0, len(frauds))
+	for _, f := range frauds {
+		if !oldCap.Has(f) {
+			missed = append(missed, f)
+		}
+	}
+	dF := gen.CountMatchesAt(rel, missed)
+	return RuleDistance(s, r, target) - w.Benefit(dF, 0, 0)
 }
 
 // SplitBenefit returns the benefit of removing the given transactions from a

@@ -120,19 +120,26 @@ func TestGeneralizationScoreExample44(t *testing.T) {
 	rep := rep1(s)
 	w := DefaultWeights()
 
-	s1, gen1 := GeneralizationScore(s, rel, rs.Rule(0), rep, w)
+	s1, gen1, dF, dL, dR := GeneralizationScore(s, rel, rs.Rule(0), nil, rep, w)
 	if s1 != 2 {
 		t.Errorf("rule 1 score = %v, want 2 (Example 4.4: (0+4+0+0)−(2+0+0))", s1)
+	}
+	if dF != 2 || dL != 0 || dR != 0 {
+		t.Errorf("rule 1 deltas = (%d,%d,%d), want (2,0,0)", dF, dL, dR)
 	}
 	// The proposed modification is Amt ≥ 106.
 	if got := gen1.Cond(1).Iv.Lo; got != 106 {
 		t.Errorf("rule 1 generalization lowers amount to %d, want 106", got)
 	}
-	s2, _ := GeneralizationScore(s, rel, rs.Rule(1), rep, w)
+	// The rule's cached capture set gives the same score as evaluating it.
+	s2, _, _, _, dR2 := GeneralizationScore(s, rel, rs.Rule(1), rs.Rule(1).Captures(rel), rep, w)
+	if dR2 != -1 {
+		t.Errorf("rule 2 ΔR = %d, want -1", dR2)
+	}
 	if s2 != 56 {
 		t.Errorf("rule 2 score = %v, want 56 (Example 4.4: (53+4+0+0)−(2+0−1))", s2)
 	}
-	s3, _ := GeneralizationScore(s, rel, rs.Rule(2), rep, w)
+	s3, _, _, _, _ := GeneralizationScore(s, rel, rs.Rule(2), nil, rep, w)
 	if s3 != 162 {
 		t.Errorf("rule 3 score = %v, want 162 ((163+0+0+2)−(6+0−3); paper's 168 rests on its 178 typo)", s3)
 	}
@@ -145,7 +152,7 @@ func TestGeneralizationScoreAlreadyCapturing(t *testing.T) {
 	s := paperdata.Schema()
 	rel := paperdata.Transactions(s)
 	wide := rules.MustParse(s, "amount >= $1")
-	score, gen := GeneralizationScore(s, rel, wide, rep1(s), DefaultWeights())
+	score, gen, _, _, _ := GeneralizationScore(s, rel, wide, nil, rep1(s), DefaultWeights())
 	if score != 0 {
 		t.Errorf("score = %v, want 0 for an already-capturing rule", score)
 	}

@@ -117,7 +117,7 @@ func (a TupleAttribution) Flagged() bool { return len(a.Matched) > 0 }
 func (e *Evaluator) attributeCond(c *compiledCond, v int64) CheckAttribution {
 	out := CheckAttribution{Attr: c.attr, Categorical: c.isCat}
 	if c.isCat {
-		pos := e.leafPos[c.attr][v]
+		pos := c.leafPos[v]
 		if pos >= 0 {
 			// The compile-time margin table covers every observed leaf; a
 			// passing leaf's margin is >= 0 and a failing one's <= -1, so the

@@ -33,8 +33,11 @@ type compiledCond struct {
 	// numeric: value must lie in [lo, hi].
 	isCat  bool
 	lo, hi int64
-	// categorical: the value's leaf position must be in leaves.
-	leaves *bitset.Set
+	// categorical: the value's leaf position must be in leaves. leafPos is
+	// the attribute's concept id → leaf position table (the evaluator's,
+	// resolved here at compile time so the per-tuple check is a slice index).
+	leaves  *bitset.Set
+	leafPos []int
 	// concept is the original bound A ≤ concept, retained for the
 	// attribution path (ontological margins need the concept, not just its
 	// leaf set). Unused during plain evaluation.
@@ -84,9 +87,9 @@ func (cr *compiledRule) checkCount() int {
 type Evaluator struct {
 	schema *relation.Schema
 	rules  []compiledRule
-	// leafPos maps, per categorical attribute, concept id → leaf position
-	// (-1 for non-leaves).
-	leafPos map[int][]int
+	// leafPos holds, per categorical attribute (nil for numeric ones), the
+	// concept id → leaf position table (-1 for non-leaves).
+	leafPos [][]int
 	// winSpecs is the deduplicated, append-only registry of window specs the
 	// compiled rules reference (see window.go); compiledWin.spec indexes it.
 	winSpecs []window.Spec
@@ -111,7 +114,7 @@ type marginKey struct {
 func Compile(schema *relation.Schema, rs *rules.Set) *Evaluator {
 	e := &Evaluator{
 		schema:      schema,
-		leafPos:     make(map[int][]int),
+		leafPos:     make([][]int, schema.Arity()),
 		marginCache: make(map[marginKey][]int64),
 	}
 	for i := 0; i < schema.Arity(); i++ {
@@ -161,6 +164,7 @@ func (e *Evaluator) compileRule(r *rules.Rule) compiledRule {
 			cc.isCat = true
 			cc.concept = c.C
 			cc.leaves = a.Ontology.LeafSet(c.C)
+			cc.leafPos = e.leafPos[i]
 			if total := len(a.Ontology.Leaves()); total > 0 {
 				cc.selectivity = float64(cc.leaves.Count()) / float64(total)
 			}
@@ -263,7 +267,7 @@ func (e *Evaluator) matches(cr *compiledRule, rel *relation.Relation, i int, wc 
 		c := &cr.conds[k]
 		v := t[c.attr]
 		if c.isCat {
-			pos := e.leafPos[c.attr][v]
+			pos := c.leafPos[v]
 			if pos < 0 || !c.leaves.Has(pos) {
 				return false
 			}

@@ -3,6 +3,7 @@ package rules
 import (
 	"repro/internal/bitset"
 	"repro/internal/relation"
+	"repro/internal/window"
 )
 
 // The paper notes that "in practice each rule also includes some threshold
@@ -48,6 +49,13 @@ func (r *Rule) MatchesAt(rel *relation.Relation, i int) bool {
 	return r.windowsAdmitAt(winColumns(rel, r.ruleSpecs()), i)
 }
 
+// matchesWith is MatchesAt given the rule's aggregate columns (nil for a
+// purely per-tuple rule), which a scan resolves once instead of per row.
+func (r *Rule) matchesWith(rel *relation.Relation, cs *window.ColumnSet, i int) bool {
+	return rel.Score(i) >= r.minScore && r.Matches(rel.Schema(), rel.Tuple(i)) &&
+		(len(r.wins) == 0 || r.windowsAdmitAt(cs, i))
+}
+
 // CapturingRulesAt returns the indices of the rules capturing transaction i
 // of rel, score thresholds and windowed conditions included — the
 // relation-positional form of CapturingRules.
@@ -64,12 +72,24 @@ func (rs *Set) CapturingRulesAt(rel *relation.Relation, i int) []int {
 // capturesInto adds to out every transaction of rel the rule captures
 // (conditions, score threshold and windowed conditions).
 func (r *Rule) capturesInto(rel *relation.Relation, out *bitset.Set) {
-	s := rel.Schema()
 	cs := winColumns(rel, r.ruleSpecs())
 	for i := 0; i < rel.Len(); i++ {
-		if rel.Score(i) >= r.minScore && r.Matches(s, rel.Tuple(i)) &&
-			(len(r.wins) == 0 || r.windowsAdmitAt(cs, i)) {
+		if r.matchesWith(rel, cs, i) {
 			out.Add(i)
 		}
 	}
+}
+
+// CountMatchesAt returns how many of the given transactions of rel the rule
+// captures: MatchesAt over a handful of rows, resolving the aggregate
+// columns once.
+func (r *Rule) CountMatchesAt(rel *relation.Relation, rows []int) int {
+	cs := winColumns(rel, r.ruleSpecs())
+	n := 0
+	for _, i := range rows {
+		if r.matchesWith(rel, cs, i) {
+			n++
+		}
+	}
+	return n
 }

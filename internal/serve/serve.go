@@ -616,11 +616,27 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // timeout wraps h with http.TimeoutHandler unless d <= 0. The timeout body
 // is the uniform error envelope (no request id: the handler goroutine owns
 // the request context by then).
+//
+// http.TimeoutHandler runs h on a goroutine of its own and, on a timeout,
+// returns without waiting for it, so h can still be using the request span
+// after instrument is done with the request. The handler goroutine therefore
+// holds the span too (see reqState): whoever lets go last ends it.
 func (s *Server) timeout(h http.Handler, d time.Duration) http.Handler {
 	if d <= 0 {
 		return h
 	}
-	return http.TimeoutHandler(h, d, `{"error":{"code":"timeout","message":"request timed out"}}`)
+	th := http.TimeoutHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if st := requestState(r); st != nil {
+			defer st.release()
+		}
+		h.ServeHTTP(w, r)
+	}), d, `{"error":{"code":"timeout","message":"request timed out"}}`)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if st := requestState(r); st != nil {
+			st.holders.Add(1) // released by the handler goroutine th starts
+		}
+		th.ServeHTTP(w, r)
+	})
 }
 
 // statusWriter records the response code for the request counter. When
@@ -673,11 +689,36 @@ type reqMeta struct {
 	span trace.Span
 }
 
+// reqState is what instrument puts in the request context: the correlation
+// metadata plus the bookkeeping that ends the request span. The span is held
+// by instrument and, on routes behind http.TimeoutHandler, by the handler
+// goroutine, which outlives the request when it times out; the last holder
+// to release ends the span, with the status code instrument recorded.
+type reqState struct {
+	reqMeta
+	holders atomic.Int32
+	code    int // written by instrument before its release
+}
+
+func (st *reqState) release() {
+	if st.holders.Add(-1) == 0 {
+		st.span.Int("code", int64(st.code))
+		st.span.End()
+	}
+}
+
+func requestState(r *http.Request) *reqState {
+	st, _ := r.Context().Value(reqMetaKey{}).(*reqState)
+	return st
+}
+
 // requestMeta returns the request's correlation metadata (zero when the
 // route is uninstrumented).
 func requestMeta(r *http.Request) reqMeta {
-	m, _ := r.Context().Value(reqMetaKey{}).(reqMeta)
-	return m
+	if st := requestState(r); st != nil {
+		return st.reqMeta
+	}
+	return reqMeta{}
 }
 
 // instrument applies the body limit, mints a request id (echoed as the
@@ -705,7 +746,9 @@ func (s *Server) instrument(path, base string, h http.Handler) http.Handler {
 		sp := s.tracer.Start(name)
 		sp.Str("id", id)
 		w.Header().Set("X-Request-Id", id)
-		r = r.WithContext(context.WithValue(r.Context(), reqMetaKey{}, reqMeta{id: id, span: sp}))
+		st := &reqState{reqMeta: reqMeta{id: id, span: sp}}
+		st.holders.Store(1)
+		r = r.WithContext(context.WithValue(r.Context(), reqMetaKey{}, st))
 		sw := &statusWriter{ResponseWriter: w, track: timedWrite, parent: sp}
 		h.ServeHTTP(sw, r)
 		if sw.started {
@@ -715,8 +758,8 @@ func (s *Server) instrument(path, base string, h http.Handler) http.Handler {
 		if sw.code == 0 {
 			sw.code = http.StatusOK
 		}
-		sp.Int("code", int64(sw.code))
-		sp.End()
+		st.code = sw.code
+		st.release()
 		s.httpCounter(path, sw.code).Inc()
 	})
 }
@@ -1299,6 +1342,14 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	hits, rebinds, _ := sess.CaptureStats()
 	s.mRefineHits.Add(hits)
 	s.mRefineMisses.Add(rebinds)
+	// http.TimeoutHandler has by now answered 503 on this handler's behalf
+	// (or the client hung up): whoever asked was told the request failed, so
+	// the rule set must not change behind that answer.
+	if err := r.Context().Err(); err != nil {
+		s.log.Warn("refinement discarded: the request ended before it finished",
+			"request_id", meta.id, "version", old.version, "err", err)
+		return
+	}
 	comment := req.Comment
 	if comment == "" {
 		comment = fmt.Sprintf("POST /v1/refine over %d feedback transactions", s.feedback.Len())

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/expert"
 	"repro/internal/order"
 	"repro/internal/relation"
 	"repro/internal/rules"
@@ -309,6 +311,65 @@ func TestFeedbackRefineStats(t *testing.T) {
 	// The refined set captures at least as many frauds as before.
 	if rresp.FraudCaptured < 1 {
 		t.Fatalf("refined rules lost frauds: %+v", rresp)
+	}
+}
+
+// slowExpert accepts everything, but holds every generalization review
+// until release is closed — an analyst who answers after the deadline.
+type slowExpert struct {
+	expert.AutoAccept
+	release chan struct{}
+}
+
+func (e *slowExpert) ReviewGeneralization(p *core.GenProposal) core.GenDecision {
+	<-e.release
+	return e.AutoAccept.ReviewGeneralization(p)
+}
+
+// TestTimedOutRefineDoesNotPublish: when http.TimeoutHandler has answered
+// 503 for a refinement that is still running, the handler must not publish
+// its result afterwards — the client was told the request failed. The rule
+// set and its ETag stay put, and the next refinement works from version 1.
+func TestTimedOutRefineDoesNotPublish(t *testing.T) {
+	schema := testSchema(t)
+	slow := &slowExpert{release: make(chan struct{})}
+	s, ts := newTestServer(t, Config{Schema: schema, Rules: mustRules(t, schema, "amount >= 100"),
+		Expert: slow, RefineTimeout: 20 * time.Millisecond})
+	code, body := postJSON(t, ts.URL+"/v1/feedback", map[string]any{"transactions": []any{
+		map[string]any{"attrs": map[string]any{"amount": 90, "hour": 12}, "score": 500, "label": "fraud"},
+	}}, nil)
+	if code != http.StatusOK {
+		t.Fatalf("feedback: %d %s", code, body)
+	}
+	rulesETag := func() string {
+		resp, err := http.Get(ts.URL + "/v1/rules")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.Header.Get("ETag")
+	}
+	before := rulesETag()
+
+	code, body = postJSON(t, ts.URL+"/v1/refine", nil, nil)
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"code":"timeout"`) {
+		t.Fatalf("refine past its deadline: %d %s, want the 503 timeout envelope", code, body)
+	}
+	// The abandoned handler still holds s.mu, blocked in the expert; let it
+	// finish and wait for it to let go.
+	close(slow.release)
+	s.mu.Lock()
+	s.mu.Unlock() //nolint:staticcheck // empty critical section: a barrier on the handler
+	if after := rulesETag(); after != before || s.Version() != 1 {
+		t.Fatalf("a timed-out refine published: ETag %s -> %s, version %d", before, after, s.Version())
+	}
+
+	var ok refineResponse
+	if code, body = postJSON(t, ts.URL+"/v1/refine", nil, &ok); code != http.StatusOK {
+		t.Fatalf("refine after the timed-out one: %d %s", code, body)
+	}
+	if ok.OldVersion != 1 || ok.Version != 2 || ok.FraudCaptured != 1 {
+		t.Fatalf("refine after the timed-out one: %+v", ok)
 	}
 }
 

@@ -4,7 +4,10 @@
 // beyond well-formedness it checks the span tree is structurally sound
 // (parents contain their children in time on the same track) and that the
 // trace actually tells the refinement story — at least one refine.round span
-// with an expert-query child.
+// with an expert-query child — and tells it at the right cost: Algorithm 1
+// ranks rules only for a cluster that needs work, so a trace never holds
+// more generalize.rank spans than expert.review_generalization spans, and
+// no ranking accounts for more candidates (scanned + pruned) than rules.
 //
 // Usage:
 //
@@ -37,10 +40,10 @@ type event struct {
 	Args  map[string]any `json:"args"`
 }
 
-func (e *event) spanID() (uint64, bool)   { return argID(e.Args, "span_id") }
-func (e *event) parentID() (uint64, bool) { return argID(e.Args, "parent_id") }
+func (e *event) spanID() (uint64, bool)   { return argUint(e.Args, "span_id") }
+func (e *event) parentID() (uint64, bool) { return argUint(e.Args, "parent_id") }
 
-func argID(args map[string]any, key string) (uint64, bool) {
+func argUint(args map[string]any, key string) (uint64, bool) {
 	v, ok := args[key]
 	if !ok {
 		return 0, false
@@ -176,6 +179,25 @@ func validate(raw []byte) error {
 	names := make(map[string]int, 16)
 	for i := range evs {
 		names[evs[i].Name]++
+	}
+
+	// Lazy, bounded ranking: a ranking is computed only for a cluster that
+	// goes on to put a proposal to the expert, and it scans or prunes each
+	// rule at most once.
+	if ranks, reviews := names["generalize.rank"], names["expert.review_generalization"]; ranks > reviews {
+		return fmt.Errorf("%d generalize.rank spans for %d expert.review_generalization spans: rules were ranked for clusters that needed no work", ranks, reviews)
+	}
+	for i := range evs {
+		e := &evs[i]
+		if e.Name != "generalize.rank" {
+			continue
+		}
+		scanned, _ := argUint(e.Args, "scanned")
+		pruned, _ := argUint(e.Args, "pruned")
+		rules, ok := argUint(e.Args, "rules")
+		if !ok || scanned+pruned > rules {
+			return fmt.Errorf("generalize.rank (span %d) scanned %d + pruned %d candidates of %d rules", mustID(e), scanned, pruned, rules)
+		}
 	}
 	top := make([]string, 0, len(names))
 	for n := range names {
