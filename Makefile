@@ -7,6 +7,8 @@
 #                 evaluators are race-free, and the serve hot-swap test that
 #                 rule publishes never tear; see DESIGN.md §8-9)
 #   make vet      static analysis
+#   make fmt      fail if any .go file is not gofmt-clean (gofmt -l prints
+#                 nothing); run `gofmt -w .` to fix
 #   make bench    run the benchmark suite once (no test re-run)
 #   make bench-json  run the core evaluator + serving benches, print a
 #                 non-gating benchcmp drift table against the committed
@@ -34,7 +36,7 @@
 #                 /v1/rules ETag convergence, SIGKILL + restart one follower,
 #                 and require the aggregate follower throughput to clear a
 #                 core-aware factor (scripts/cluster-smoke.sh)
-#   make check    build + vet + test + race (each package once)
+#   make check    fmt + build + vet + test + race (each package once)
 #   make ci       the full CI gate: check + smoke + crash-smoke +
 #                 cluster-smoke + trace-demo
 
@@ -46,7 +48,7 @@ COUNT     ?= 1
 ADDR      ?= 127.0.0.1:8080
 TRACE_OUT ?=
 
-.PHONY: all build test race vet bench bench-json serve loadgen smoke crash-smoke cluster-smoke trace-demo check ci clean
+.PHONY: all fmt build test race vet bench bench-json serve loadgen smoke crash-smoke cluster-smoke trace-demo check ci clean
 
 all: ci
 
@@ -61,6 +63,9 @@ race:
 
 vet:
 	$(GO) vet $(PKGS)
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem $(PKGS)
@@ -86,7 +91,7 @@ cluster-smoke:
 trace-demo:
 	GO=$(GO) TRACE_OUT=$(TRACE_OUT) bash scripts/trace-demo.sh
 
-check: build vet test race
+check: fmt build vet test race
 
 ci: check smoke crash-smoke cluster-smoke trace-demo
 	-GO=$(GO) BENCHTIME=100x WRITE=0 TOL=1.0 bash scripts/bench.sh

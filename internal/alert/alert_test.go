@@ -57,18 +57,18 @@ func TestParseRule(t *testing.T) {
 		}
 	})
 	for _, bad := range []string{
-		`p99(x) > 5ms`,                                // no header
-		`alert a severity=fatal: value(x) > 1`,        // bad severity
-		`alert a for=-5s: value(x) > 1`,               // negative for
-		`alert a wat=1: value(x) > 1`,                 // unknown option
-		`alert a value(x) > 1`,                        // missing colon
-		`alert bad name: value(x) > 1`,                // space in name (parsed as option)
-		`alert a: histogram_quantile(0.99, x) > 1`,    // unknown fn
-		`alert a: value(x) ~ 1`,                       // bad op
-		`alert a: value(x) > fast`,                    // bad threshold
-		`alert a: max(rudolf_score_tx_total) > 1`,     // max needs a rulestats signal
-		`alert a: value() > 1`,                        // empty signal
-		`alert a: value(x) > 1 2`,                     // trailing garbage
+		`p99(x) > 5ms`,                             // no header
+		`alert a severity=fatal: value(x) > 1`,     // bad severity
+		`alert a for=-5s: value(x) > 1`,            // negative for
+		`alert a wat=1: value(x) > 1`,              // unknown option
+		`alert a value(x) > 1`,                     // missing colon
+		`alert bad name: value(x) > 1`,             // space in name (parsed as option)
+		`alert a: histogram_quantile(0.99, x) > 1`, // unknown fn
+		`alert a: value(x) ~ 1`,                    // bad op
+		`alert a: value(x) > fast`,                 // bad threshold
+		`alert a: max(rudolf_score_tx_total) > 1`,  // max needs a rulestats signal
+		`alert a: value() > 1`,                     // empty signal
+		`alert a: value(x) > 1 2`,                  // trailing garbage
 	} {
 		if _, err := ParseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q) succeeded, want error", bad)
@@ -130,12 +130,12 @@ func TestStateMachine(t *testing.T) {
 			rule: "alert a for=200ms: value(sig) > 10",
 			steps: []step{
 				{5, StateInactive},
-				{15, StatePending},  // breach at t
-				{15, StatePending},  // +100ms < for
-				{15, StateFiring},   // +200ms >= for
-				{15, StateFiring},   // stays
-				{5, StateInactive},  // resolves
-				{15, StatePending},  // re-arms from scratch
+				{15, StatePending}, // breach at t
+				{15, StatePending}, // +100ms < for
+				{15, StateFiring},  // +200ms >= for
+				{15, StateFiring},  // stays
+				{5, StateInactive}, // resolves
+				{15, StatePending}, // re-arms from scratch
 			},
 		},
 		{

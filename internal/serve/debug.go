@@ -332,16 +332,16 @@ type debugRuntimeState struct {
 // debugStateResponse is the GET /v1/debug/state JSON document: one
 // consolidated view of the serving process and its subsystems.
 type debugStateResponse struct {
-	Now           string            `json:"now"`
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Version       int               `json:"version"`
-	Rules         int               `json:"rules"`
-	Workers       int               `json:"workers"`
-	Inflight      int64             `json:"inflight"`
-	Draining      bool              `json:"draining"`
-	ScoredTx      uint64            `json:"scored_tx"`
-	Trace         debugTraceState   `json:"trace"`
-	Slow          debugSlowState    `json:"slow"`
+	Now           string                 `json:"now"`
+	UptimeSeconds float64                `json:"uptime_seconds"`
+	Version       int                    `json:"version"`
+	Rules         int                    `json:"rules"`
+	Workers       int                    `json:"workers"`
+	Inflight      int64                  `json:"inflight"`
+	Draining      bool                   `json:"draining"`
+	ScoredTx      uint64                 `json:"scored_tx"`
+	Trace         debugTraceState        `json:"trace"`
+	Slow          debugSlowState         `json:"slow"`
 	Window        *debugWindowState      `json:"window"`
 	WAL           *debugWALState         `json:"wal"`
 	Capture       debugCaptureState      `json:"capture"`

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -18,17 +19,32 @@ import (
 // format is unchanged (observe_test.go decodes it with encoding/json and
 // asserts field-by-field), only the producer is.
 //
+// The renderer never holds more than one chunk of a response. It takes a
+// flush callback and hands it the buffer whenever the buffer holds a whole
+// scoreChunk; scoreStream writes that chunk to the connection and gives the
+// emptied buffer back. A response that never fills a chunk — every plain
+// and explain batch of ordinary size — is written in one piece with an
+// exact Content-Length; a larger one (an explain_all batch runs to
+// megabytes) goes out chunked, with the same body bytes.
+//
 // The strings that need JSON escaping are known ahead of time: attribute
 // names are escaped once at server construction (Server.attrJSON), rule
 // texts once per publish (ruleState.textsJSON). Request ids are minted by
 // instrument from a fixed alphabet and never need escaping. Everything else
 // is numbers and booleans.
 
+// scoreChunk is the size at which the renderer hands its buffer to the
+// flush callback: the unit of a streamed score response, and (plus the one
+// rule explanation that crosses it) the most response bytes the daemon holds
+// per request. Large enough that a chunk costs one socket write, small
+// enough to stay in cache.
+const scoreChunk = 64 << 10
+
 // scoreState is the per-request scratch of handleScore, pooled so the
 // steady-state scoring path allocates only what escapes into the response
 // writer. It bundles the first-match slice, the attribution buffer of the
 // explain path, a check scratch for explain_all re-derivation and the
-// response bytes.
+// response chunk buffer.
 type scoreState struct {
 	first   []int32
 	attrib  index.AttributionBuffer
@@ -36,21 +52,74 @@ type scoreState struct {
 	out     []byte
 }
 
-// scoreStateMaxRetain bounds the response-buffer capacity a pooled
-// scoreState may keep: a rare worst-case response (a MaxBatch explain_all
-// batch renders megabytes) must not pin its buffer for the rest of the
-// process's life.
-const scoreStateMaxRetain = 1 << 20
-
 var scoreStatePool = sync.Pool{New: func() any { return new(scoreState) }}
 
 func getScoreState() *scoreState { return scoreStatePool.Get().(*scoreState) }
 
-func putScoreState(st *scoreState) {
-	if cap(st.out) > scoreStateMaxRetain {
-		st.out = nil
+func putScoreState(st *scoreState) { scoreStatePool.Put(st) }
+
+// scoreStream is the sink handleScore renders into: appendScoreResponse
+// calls flush each time its buffer holds a whole chunk, and handleScore
+// calls finish with the rest. Encode and write time interleave per chunk on
+// the stage clock.
+type scoreStream struct {
+	s     *Server
+	w     http.ResponseWriter
+	clock *stageClock
+	sent  bool // the 200 header and at least one chunk are on the wire
+}
+
+// flush writes one full chunk (the first one after the 200 header, with no
+// Content-Length, so the body goes out chunked) and returns the emptied
+// buffer for the renderer to continue in.
+func (z *scoreStream) flush(b []byte) []byte {
+	z.clock.begin(stageWrite)
+	if !z.sent {
+		z.sent = true
+		z.w.Header().Set("Content-Type", "application/json")
+		z.w.WriteHeader(http.StatusOK)
 	}
-	scoreStatePool.Put(st)
+	z.write(b)
+	z.clock.begin(stageEncode)
+	return b[:0]
+}
+
+// finish writes the rest of the response: the whole body, with an exact
+// Content-Length, when no chunk was flushed; otherwise the final piece.
+func (z *scoreStream) finish(b []byte) {
+	z.clock.begin(stageWrite)
+	if !z.sent {
+		z.s.writeBody(z.w, http.StatusOK, b)
+		return
+	}
+	z.write(b)
+}
+
+// write sends a piece of a response whose 200 header is already out. A
+// failed write can no longer become an error response, and a chunked body
+// that just stopped here would end with the terminating chunk and parse as
+// a complete, short answer. So the connection is aborted instead —
+// http.ErrAbortHandler makes net/http close it without the terminator —
+// and the client sees a transport error, never a truncated 200.
+func (z *scoreStream) write(b []byte) {
+	if _, err := z.w.Write(b); err != nil {
+		z.s.mScoreAborted.Inc()
+		if isClientGone(err) {
+			z.s.log.Debug("score response aborted: client gone mid-body", "err", err)
+		} else {
+			z.s.log.Warn("score response aborted: write failed mid-body", "err", err)
+		}
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// spill hands dst to flush once it holds a whole chunk. A nil flush renders
+// the response into one buffer.
+func spill(dst []byte, flush func([]byte) []byte) []byte {
+	if flush != nil && len(dst) >= scoreChunk {
+		return flush(dst)
+	}
+	return dst
 }
 
 // appendJSONString appends s as a JSON string literal (quotes included),
@@ -172,8 +241,9 @@ func appendRuleExplanation(dst []byte, st *ruleState, attrJSON []string, ra inde
 // explain mode only the matched rules carry a breakdown (exactly the rules
 // the lazy attribution materialized); explainAll re-derives every
 // non-matched rule's margins through ev.AttributeRuleAppend using the
-// state's scratch, reproducing the eager full-table wire form.
-func (s *Server) appendExplanation(dst []byte, st *ruleState, sc *scoreState, a index.TupleAttribution, explainAll bool, rel *relation.Relation, i int) []byte {
+// state's scratch, reproducing the eager full-table wire form. Each rule
+// explanation is a point where a full chunk may be flushed.
+func (s *Server) appendExplanation(dst []byte, flush func([]byte) []byte, st *ruleState, sc *scoreState, a index.TupleAttribution, explainAll bool, rel *relation.Relation, i int) []byte {
 	dst = append(dst, `{"flagged":`...)
 	dst = appendBool(dst, a.Flagged())
 	dst = append(dst, `,"matched":[`...)
@@ -196,14 +266,29 @@ func (s *Server) appendExplanation(dst []byte, st *ruleState, sc *scoreState, a 
 			dst = append(dst, ',')
 		}
 		dst = appendRuleExplanation(dst, st, s.attrJSON, ra)
+		dst = spill(dst, flush)
 		n++
 	}
 	return append(dst, ']', '}')
 }
 
-// appendScoreResponse renders the whole scoreResponse (wire-identical to
-// the encoding/json form of the scoreResponse struct) into dst.
-func (s *Server) appendScoreResponse(dst []byte, requestID string, st *ruleState, sc *scoreState, rel *relation.Relation, matched int, explain, explainAll bool) []byte {
+// appendScoreResponse renders the whole scoreResponse for the verdicts in
+// sc (wire-identical to the encoding/json form of the scoreResponse struct)
+// into dst, handing every full chunk to flush on the way (see spill); the
+// returned slice holds what was not flushed.
+func (s *Server) appendScoreResponse(dst []byte, flush func([]byte) []byte, requestID string, st *ruleState, sc *scoreState, rel *relation.Relation, explain, explainAll bool) []byte {
+	matched := 0
+	for _, ri := range sc.first[:rel.Len()] {
+		if ri != index.NoRule {
+			matched++
+		}
+	}
+	if explainAll {
+		// Pre-size the re-derivation scratch so encode never reallocates it.
+		if n := st.ev.MaxRuleChecks(); cap(sc.scratch) < n {
+			sc.scratch = make([]index.CheckAttribution, 0, n)
+		}
+	}
 	dst = append(dst, '{')
 	if requestID != "" { // mirror the struct tag's omitempty
 		dst = append(dst, `"request_id":`...)
@@ -222,6 +307,7 @@ func (s *Server) appendScoreResponse(dst []byte, requestID string, st *ruleState
 			dst = append(dst, ',')
 		}
 		dst = appendBool(dst, sc.first[i] != index.NoRule)
+		dst = spill(dst, flush)
 	}
 	dst = append(dst, ']')
 	if explain || explainAll {
@@ -230,7 +316,7 @@ func (s *Server) appendScoreResponse(dst []byte, requestID string, st *ruleState
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = s.appendExplanation(dst, st, sc, sc.attrib.Tuples[i], explainAll, rel, i)
+			dst = s.appendExplanation(dst, flush, st, sc, sc.attrib.Tuples[i], explainAll, rel, i)
 		}
 		dst = append(dst, ']')
 	}

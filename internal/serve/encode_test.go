@@ -1,13 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/relation"
+	"repro/internal/rules"
+	"repro/internal/trace"
 )
 
 // TestAppendJSONString pins the hand-rolled string escaper against
@@ -87,8 +94,10 @@ func TestScoreEncodeDifferential(t *testing.T) {
 	}
 }
 
-// TestScoreContentLength pins the exact-Content-Length contract of the
-// buffered write path (no chunked encoding on score responses).
+// TestScoreContentLength pins the exact-Content-Length contract of a score
+// response that fits in one chunk (every plain and explain batch of ordinary
+// size); only a response larger than scoreChunk goes out chunked, see
+// TestScoreStreamedBody.
 func TestScoreContentLength(t *testing.T) {
 	schema := testSchema(t)
 	_, ts := newTestServer(t, Config{Schema: schema, Rules: mustRules(t, schema, "amount >= 100")})
@@ -173,4 +182,154 @@ func TestScoreEncodeAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, explainAll); n > 120 {
 		t.Fatalf("explain_all single score = %.0f allocs/run, want <= 120", n)
 	}
+
+	// A multi-chunk explain_all answer is never held whole: the bytes a
+	// request allocates stay within a few chunks, and doubling the batch
+	// grows them by a small fraction of what it adds to the answer (before
+	// streaming, a request allocated several times its answer).
+	if raceEnabled {
+		return // pooled chunk buffers are dropped at random under -race
+	}
+	schema, rs, txs := explainAllFixture(t, 32)
+	big, _ := newTestServer(t, Config{Schema: schema, Rules: rs, MaxBatch: 32})
+	bh := big.Handler()
+	perRun := func(n int) (alloc float64, resp int) {
+		body, _ := json.Marshal(map[string]any{"transactions": txs[:n], "explain_all": true})
+		run := func() {
+			w := &discardWriter{h: http.Header{}}
+			bh.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body)))
+			resp = w.n
+		}
+		run()
+		run() // warm the pools
+		const runs = 20
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / runs, resp
+	}
+	a16, r16 := perRun(16)
+	a32, r32 := perRun(32)
+	if r16 <= 4*scoreChunk {
+		t.Fatalf("16-tx explain_all answer is %d B, want a multi-chunk one", r16)
+	}
+	if a32 > 4*scoreChunk {
+		t.Fatalf("32-tx explain_all (%d B answer) allocates %.0f B/run, want <= %d (4 chunks)", r32, a32, 4*scoreChunk)
+	}
+	if a32-a16 > float64(r32-r16)/10 {
+		t.Fatalf("doubling the batch grew allocation %.0f -> %.0f B/run for an answer of %d -> %d B: it follows the answer size",
+			a16, a32, r16, r32)
+	}
 }
+
+// explainAllFixture is the analyst's worst case at test size: the synthetic
+// FI schema, 130 incumbent rules (the top of the paper's 10-130 range) and
+// n of the generated transactions in wire form. An explain_all answer runs
+// to ~70 KB per transaction, so even a small batch spans many chunks.
+func explainAllFixture(t testing.TB, n int) (*relation.Schema, *rules.Set, []map[string]any) {
+	t.Helper()
+	ds := datagen.Generate(datagen.Config{Size: 2000, Seed: 7})
+	rs := datagen.InitialRules(ds, 130, 7)
+	if rs.Len() < 100 {
+		t.Fatalf("fixture has %d rules, want >= 100", rs.Len())
+	}
+	txs := make([]map[string]any, n)
+	for i := range txs {
+		txs[i] = map[string]any{"attrs": renderAttrs(ds.Schema, ds.Rel, i), "score": ds.Rel.Score(i)}
+	}
+	return ds.Schema, rs, txs
+}
+
+// TestScoreStreamedBody: the renderer gives the same bytes whether it
+// renders into one buffer (no flush) or streams scoreChunk pieces to a
+// ResponseWriter, for a multi-chunk explain_all batch and for single-chunk
+// explain and plain batches; the bytes decode as a scoreResponse; and the
+// framing follows the size — an exact Content-Length for one chunk, chunked
+// with no Content-Length beyond. Over a real connection the streamed body is
+// byte-identical to the one-buffer rendering.
+func TestScoreStreamedBody(t *testing.T) {
+	const batch = 16
+	schema, rs, txs := explainAllFixture(t, batch)
+	s, ts := newTestServer(t, Config{Schema: schema, Rules: rs, MaxBatch: batch})
+	wire := make([]txIn, len(txs))
+	for i, tx := range txs {
+		raw, _ := json.Marshal(tx)
+		if err := json.Unmarshal(raw, &wire[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel, _, err := s.buildRelation(wire, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.state.Load()
+	for _, mode := range []struct {
+		name                string
+		explain, explainAll bool
+		chunks              bool
+	}{
+		{"explain_all", false, true, true},
+		{"explain", true, false, false},
+		{"plain", false, false, false},
+	} {
+		sc := new(scoreState)
+		s.evaluate(trace.Span{}, st, sc, rel, mode.explain || mode.explainAll)
+		one := s.appendScoreResponse(nil, nil, "req-000042", st, sc, rel, mode.explain, mode.explainAll)
+		var resp scoreResponse
+		if err := json.Unmarshal(one, &resp); err != nil || resp.Count != batch {
+			t.Fatalf("%s: rendering does not decode as a %d-tx scoreResponse (%v)", mode.name, batch, err)
+		}
+
+		rec := httptest.NewRecorder()
+		z := scoreStream{s: s, w: rec, clock: &stageClock{}}
+		z.finish(s.appendScoreResponse(nil, z.flush, "req-000042", st, sc, rel, mode.explain, mode.explainAll))
+		if !bytes.Equal(rec.Body.Bytes(), one) {
+			t.Fatalf("%s: streamed body (%d B) differs from the one-buffer rendering (%d B)", mode.name, rec.Body.Len(), len(one))
+		}
+		if z.sent != mode.chunks || (len(one) > scoreChunk) != mode.chunks {
+			t.Fatalf("%s: %d B response, flushed %v, want multi-chunk %v", mode.name, len(one), z.sent, mode.chunks)
+		}
+		if cl := rec.Header().Get("Content-Length"); mode.chunks != (cl == "") || (!mode.chunks && cl != strconv.Itoa(len(one))) {
+			t.Fatalf("%s: Content-Length %q for a %d B body (multi-chunk %v)", mode.name, cl, len(one), mode.chunks)
+		}
+	}
+
+	// End to end, over a connection: chunked framing, and the very bytes the
+	// one-buffer rendering gives for the request id the daemon minted.
+	body, _ := json.Marshal(map[string]any{"transactions": txs, "explain_all": true})
+	resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := readAll(t, resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain_all score = %d: %.200s", resp.StatusCode, got)
+	}
+	if te := resp.TransferEncoding; len(te) != 1 || te[0] != "chunked" || resp.Header.Get("Content-Length") != "" {
+		t.Fatalf("multi-chunk response framing: Transfer-Encoding %v, Content-Length %q; want chunked and none",
+			te, resp.Header.Get("Content-Length"))
+	}
+	sc := new(scoreState)
+	s.evaluate(trace.Span{}, st, sc, rel, true)
+	want := s.appendScoreResponse(nil, nil, resp.Header.Get("X-Request-Id"), st, sc, rel, false, true)
+	if !bytes.Equal([]byte(got), want) {
+		t.Fatalf("wire body (%d B) differs from the one-buffer rendering (%d B)", len(got), len(want))
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the header and counts but
+// drops the body, so an allocation measurement sees the daemon's buffers
+// only.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}

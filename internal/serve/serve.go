@@ -55,6 +55,7 @@ import (
 	"mime"
 	"net"
 	"net/http"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -107,6 +108,7 @@ type Server struct {
 	reg *telemetry.Registry
 	// hot-path metrics, resolved once.
 	mScoreTx      *telemetry.Counter
+	mScoreAborted *telemetry.Counter
 	mScoreLat     *telemetry.Histogram
 	mBatchSize    *telemetry.Histogram
 	mInflight     *telemetry.Gauge
@@ -330,6 +332,7 @@ func (s *Server) initMetrics() {
 	r := s.reg
 	r.Help("rudolf_http_requests_total", "HTTP requests served, by path and status code.")
 	r.Help("rudolf_score_tx_total", "Transactions scored.")
+	r.Help("rudolf_score_aborted_total", "Score responses whose connection was aborted after part of the body was sent (a write failed or hit the deadline).")
 	r.Help("rudolf_score_latency_seconds", "Whole-batch scoring request latency (one observation per /v1/score request).")
 	r.Help("rudolf_score_batch_size", "Transactions per /v1/score request.")
 	r.Help("rudolf_score_inflight", "Scoring requests currently holding a worker slot.")
@@ -353,7 +356,7 @@ func (s *Server) initMetrics() {
 	r.Help("rudolf_rule_feedback_fp_total", "Legit-labeled feedback transactions captured, by rule index.")
 	r.Help("rudolf_rule_drift", "Per-rule fire-rate drift vs the post-publish baseline (0 = unchanged, 1 = moved by its whole baseline; -1 = not yet measurable).")
 	r.Help("rudolf_rule_last_fired_ago_seconds", "Seconds since the rule last fired under the published version (-1 = never).")
-	r.Help("rudolf_stage_duration_seconds", "Score hot-path latency by stage (decode, acquire, wal_append, window, eval, encode, write).")
+	r.Help("rudolf_stage_duration_seconds", "Score hot-path latency by stage (decode, acquire, wal_append, window, eval, encode, write); a streamed response alternates encode and write per chunk.")
 	r.Help("rudolf_window_entries", "Live sliding-window aggregate entries across all shards.")
 	r.Help("rudolf_window_watermark_minutes", "Sliding-window event-time watermark (epoch minutes).")
 	r.Help("rudolf_window_evictions_total", "Window entries evicted, by cause (expired = dead under the watermark; lru = capacity pressure).")
@@ -369,6 +372,7 @@ func (s *Server) initMetrics() {
 	r.Help("rudolf_go_gc_cycles", "Completed GC cycles.")
 	r.Help("rudolf_go_gc_pause_seconds", "GC stop-the-world pause durations (folded from runtime/metrics).")
 	s.mScoreTx = r.Counter("rudolf_score_tx_total")
+	s.mScoreAborted = r.Counter("rudolf_score_aborted_total")
 	s.mScoreLat = r.Histogram("rudolf_score_latency_seconds", nil)
 	s.mBatchSize = r.Histogram("rudolf_score_batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096})
 	s.mInflight = r.Gauge("rudolf_score_inflight")
@@ -507,7 +511,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// mount instruments h under the request span request.<span>.
 	mount := func(path, span string, h http.Handler) { mux.Handle(path, s.instrument(path, span, h)) }
-	mount("/v1/score", "score", s.timeout(http.HandlerFunc(s.handleScore), s.cfg.ScoreTimeout))
+	// Score owns its deadline (see ownDeadline); the mutating routes stay
+	// behind http.TimeoutHandler.
+	mount("/v1/score", "score", s.ownDeadline(http.HandlerFunc(s.handleScore), s.cfg.ScoreTimeout))
 	// The mutating routes are wrapped by the read-only guard: on a follower
 	// their write methods answer 403 "read_only" with a Location header
 	// pointing at the leader; their read methods (GET /v1/rules) and
@@ -613,6 +619,27 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return s.Close()
 }
 
+// ownDeadline runs h on the request goroutine under a context that ends d
+// after the request reached it, and sets the connection's read and write
+// deadlines to that same instant through http.ResponseController. There is
+// no second goroutine and no response buffer: h checks the context itself
+// at the points where a 503 is still possible, streams its response, and
+// once the first chunk is out the write deadline is the only bound (see
+// scoreStream.write for what a write that fails then does).
+func (s *Server) ownDeadline(h http.Handler, d time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), d)
+		defer cancel()
+		deadline, _ := ctx.Deadline()
+		// ErrNotSupported (a writer with no connection behind it, such as an
+		// httptest.ResponseRecorder) leaves the context as the only bound.
+		rc := http.NewResponseController(w)
+		rc.SetReadDeadline(deadline)  //nolint:errcheck // see above
+		rc.SetWriteDeadline(deadline) //nolint:errcheck // see above
+		h.ServeHTTP(w, r.WithContext(ctx))
+	})
+}
+
 // timeout wraps h with http.TimeoutHandler unless d <= 0. The timeout body
 // is the uniform error envelope (no request id: the handler goroutine owns
 // the request context by then).
@@ -620,7 +647,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // http.TimeoutHandler runs h on a goroutine of its own and, on a timeout,
 // returns without waiting for it, so h can still be using the request span
 // after instrument is done with the request. The handler goroutine therefore
-// holds the span too (see reqState): whoever lets go last ends it.
+// holds the span too (see reqState): whoever lets go last ends it. Rules,
+// feedback and refine stay behind this wrapper until refinement can be
+// canceled (ROADMAP item 4): a refine holds s.mu for its whole run, and a
+// handler queued behind it has no way to give up the wait.
 func (s *Server) timeout(h http.Handler, d time.Duration) http.Handler {
 	if d <= 0 {
 		return h
@@ -639,33 +669,13 @@ func (s *Server) timeout(h http.Handler, d time.Duration) http.Handler {
 	})
 }
 
-// statusWriter records the response code for the request counter. When
-// track is set it also opens a stage.write child span on the first write,
-// so response copy-out that happens outside the handler's own stage clock
-// (the buffered flush http.TimeoutHandler performs after the handler
-// returns) is still attributed to the write stage; instrument ends the
-// span and observes the duration.
+// statusWriter records the response code for the request counter.
 type statusWriter struct {
 	http.ResponseWriter
-	code    int
-	track   bool
-	started bool
-	parent  trace.Span
-	sp      trace.Span
-	t0      time.Time
-}
-
-func (w *statusWriter) begin() {
-	if !w.track || w.started {
-		return
-	}
-	w.started = true
-	w.t0 = time.Now()
-	w.sp = w.parent.Child(stageSpanNames[stageWrite])
+	code int
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	w.begin()
 	if w.code == 0 {
 		w.code = code
 	}
@@ -673,12 +683,15 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 func (w *statusWriter) Write(b []byte) (int, error) {
-	w.begin()
 	if w.code == 0 {
 		w.code = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
 }
+
+// Unwrap lets http.ResponseController reach the connection's writer: the
+// score route sets its socket deadlines through it.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // reqMetaKey carries the per-request id and span through the context.
 type reqMetaKey struct{}
@@ -728,18 +741,6 @@ func requestMeta(r *http.Request) reqMeta {
 // joinable against GET /v1/trace.
 func (s *Server) instrument(path, base string, h http.Handler) http.Handler {
 	name := "request." + base
-	// The score route sits behind http.TimeoutHandler, which buffers the
-	// whole response and copies it to the real ResponseWriter only after
-	// the handler returns — client-visible latency the handler's own stage
-	// clock cannot see (its stageWrite times the write into the buffer).
-	// That copy-out is exactly this statusWriter's write activity, so
-	// instrument brackets it and attributes it to the write stage,
-	// preserving the slow-ring invariant that the stage breakdown accounts
-	// for the request span end to end. Only enabled when the timeout
-	// wrapper is actually in play: with ScoreTimeout <= 0 the handler
-	// writes straight through sw during its own stageWrite window, and
-	// bracketing here would double-count the same interval.
-	timedWrite := base == "score" && s.cfg.ScoreTimeout > 0
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		id := requestID(s.reqSeq.Add(1))
@@ -749,18 +750,19 @@ func (s *Server) instrument(path, base string, h http.Handler) http.Handler {
 		st := &reqState{reqMeta: reqMeta{id: id, span: sp}}
 		st.holders.Store(1)
 		r = r.WithContext(context.WithValue(r.Context(), reqMetaKey{}, st))
-		sw := &statusWriter{ResponseWriter: w, track: timedWrite, parent: sp}
+		sw := &statusWriter{ResponseWriter: w}
+		// Deferred, so that a response aborted mid-body (a panic with
+		// http.ErrAbortHandler, see scoreStream.write) still ends its span
+		// and is counted, under the status it had sent.
+		defer func() {
+			if sw.code == 0 {
+				sw.code = http.StatusOK
+			}
+			st.code = sw.code
+			st.release()
+			s.httpCounter(path, sw.code).Inc()
+		}()
 		h.ServeHTTP(sw, r)
-		if sw.started {
-			sw.sp.End()
-			s.mStage[stageWrite].Observe(time.Since(sw.t0).Seconds())
-		}
-		if sw.code == 0 {
-			sw.code = http.StatusOK
-		}
-		st.code = sw.code
-		st.release()
-		s.httpCounter(path, sw.code).Inc()
 	})
 }
 
@@ -860,10 +862,12 @@ func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
 }
 
 // isClientGone reports whether a response-write error just means the peer
-// went away (canceled request, closed connection) — routine under load
-// balancers and impatient clients, not a server fault worth a warning.
+// went away or stopped reading (canceled request, closed connection, a
+// write deadline passed) — routine under load balancers and impatient or
+// slow clients, not a server fault worth a warning.
 func isClientGone(err error) bool {
 	return errors.Is(err, syscall.EPIPE) ||
+		errors.Is(err, os.ErrDeadlineExceeded) ||
 		errors.Is(err, syscall.ECONNRESET) ||
 		errors.Is(err, net.ErrClosed) ||
 		errors.Is(err, context.Canceled) ||
@@ -897,6 +901,12 @@ func (s *Server) writeErrorID(w http.ResponseWriter, requestID string, status in
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
+		// A body still arriving when the read deadline (score) or the
+		// request context (every route) runs out is a timeout, not bad JSON.
+		if errors.Is(err, os.ErrDeadlineExceeded) || r.Context().Err() != nil {
+			s.writeTimeout(w, r, "reading the request body")
+			return false
+		}
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "body exceeds %d bytes", tooBig.Limit)
@@ -988,7 +998,12 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	clock.begin(stageAcquire)
+	// The first of the three deadline checks: acquire is context-aware.
 	if !s.acquire(r.Context()) {
+		if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
+			s.writeTimeout(w, r, "queued for a worker slot")
+			return
+		}
 		s.writeError(w, r, http.StatusServiceUnavailable, CodeUnavailable, "canceled while queued for a worker slot")
 		return
 	}
@@ -997,6 +1012,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	defer putScoreState(sc)
 	start := time.Now()
 	st := s.state.Load() // exactly one version per response
+	observed := false
 	// Windowed rules are stateful: every scored transaction is observed into
 	// the live aggregate store (WAL first, when durable — the observation
 	// must survive a crash or replayed aggregates diverge from what was
@@ -1020,6 +1036,14 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			// Waiting on obsMu is attributed to the window stage; the durable
 			// observe append (including its synchronous fsync) to wal_append.
 			s.obsMu.Lock()
+			// The second deadline check, the last point where a 503 can
+			// still mean "not observed".
+			if r.Context().Err() != nil {
+				s.obsMu.Unlock()
+				s.release()
+				s.writeTimeout(w, r, "waiting to observe the batch")
+				return
+			}
 			if s.wal != nil {
 				clock.begin(stageWAL)
 				_, err := s.walAppend(observeRecord(rel))
@@ -1033,55 +1057,68 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			}
 			rel.SetWindowColumns(s.winStore.StampColumns(rel, st.winSpecs))
 			s.obsMu.Unlock()
+			observed = true
 		}
 	}
-	// The default path computes first-match attribution instead of the bare
-	// union: same short-circuiting loop and chunking as Eval, one int32
-	// write per tuple extra, and it is exactly what per-rule fire accounting
-	// needs. Explain mode runs the lazy attribution pass: margins are
-	// materialized for the rules that fire (what "why was this flagged"
-	// asks); explain_all re-derives the non-firing rules' margins at encode
-	// time.
 	clock.begin(stageEval)
-	if explain {
-		st.ev.EvalAttributedLazyIntoUnder(meta.span, rel, &sc.attrib)
-		if cap(sc.first) < rel.Len() {
-			sc.first = make([]int32, rel.Len())
-		}
-		sc.first = sc.first[:rel.Len()]
-		for i := range sc.attrib.Tuples {
-			sc.first[i] = index.NoRule
-			if m := sc.attrib.Tuples[i].Matched; len(m) > 0 {
-				sc.first[i] = int32(m[0])
-			}
-		}
-	} else {
-		sc.first = st.ev.EvalFirstIntoUnder(meta.span, rel, sc.first)
-	}
+	s.evaluate(meta.span, st, sc, rel, explain)
 	elapsed := time.Since(start).Seconds()
 	s.release()
+	// The third deadline check, before the first response byte. A request
+	// that observed its batch skips it: its 503 would claim "not observed",
+	// so it answers with what it scored, bounded by the write deadline alone.
+	if !observed && r.Context().Err() != nil {
+		s.writeTimeout(w, r, "scoring the batch")
+		return
+	}
 	clock.begin(stageEncode)
-
-	matched := 0
-	for i := 0; i < rel.Len(); i++ {
-		if sc.first[i] != index.NoRule {
-			matched++
-		}
-	}
-	if req.ExplainAll {
-		// Pre-size the re-derivation scratch so encode never reallocates it.
-		if n := st.ev.MaxRuleChecks(); cap(sc.scratch) < n {
-			sc.scratch = make([]index.CheckAttribution, 0, n)
-		}
-	}
-	sc.out = s.appendScoreResponse(sc.out[:0], meta.id, st, sc, rel, matched, req.Explain, req.ExplainAll)
 	s.recordScore(meta.id, st, rel, sc.first)
 	s.mScoreTx.Add(uint64(rel.Len()))
 	s.mScoreLat.Observe(elapsed)
 	s.mBatchSize.Observe(float64(rel.Len()))
-	clock.begin(stageWrite)
-	s.writeBody(w, http.StatusOK, sc.out)
+	out := scoreStream{s: s, w: w, clock: &clock}
+	sc.out = s.appendScoreResponse(sc.out[:0], out.flush, meta.id, st, sc, rel, req.Explain, req.ExplainAll)
+	out.finish(sc.out)
 }
+
+// evaluate scores rel against st into sc. The default path computes
+// first-match attribution instead of the bare union: same short-circuiting
+// loop and chunking as Eval, one int32 write per tuple extra, and it is
+// exactly what per-rule fire accounting needs. Explain mode runs the lazy
+// attribution pass: margins are materialized for the rules that fire (what
+// "why was this flagged" asks); explain_all re-derives the non-firing rules'
+// margins at encode time.
+func (s *Server) evaluate(sp trace.Span, st *ruleState, sc *scoreState, rel *relation.Relation, explain bool) {
+	if !explain {
+		sc.first = st.ev.EvalFirstIntoUnder(sp, rel, sc.first)
+		return
+	}
+	st.ev.EvalAttributedLazyIntoUnder(sp, rel, &sc.attrib)
+	if cap(sc.first) < rel.Len() {
+		sc.first = make([]int32, rel.Len())
+	}
+	sc.first = sc.first[:rel.Len()]
+	for i := range sc.attrib.Tuples {
+		sc.first[i] = index.NoRule
+		if m := sc.attrib.Tuples[i].Matched; len(m) > 0 {
+			sc.first[i] = int32(m[0])
+		}
+	}
+}
+
+// writeTimeout answers a request whose deadline passed at a check point
+// with 503 "timeout". On the score route the socket write deadline is that
+// same, already past, instant; the envelope gets timeoutReplyGrace to reach
+// the client. (Behind http.TimeoutHandler there is no deadline to move, and
+// the 503 has been sent already.)
+func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, during string) {
+	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeoutReplyGrace)) //nolint:errcheck // ErrNotSupported: no socket deadline to move
+	s.writeError(w, r, http.StatusServiceUnavailable, CodeTimeout, "request deadline passed while %s", during)
+}
+
+// timeoutReplyGrace is how long a 503 "timeout" envelope may take to write
+// once the request's own deadline has passed.
+const timeoutReplyGrace = time.Second
 
 // recordScore feeds one scored batch into the rule-health tracker, the
 // per-rule fire counters and (for sampled decisions) the audit ring.
@@ -1164,6 +1201,10 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 			rs.Add(rule)
 		}
 		s.mu.Lock()
+		if s.abandoned(r, "publish") {
+			s.mu.Unlock()
+			return
+		}
 		if ok {
 			if cur := s.state.Load().version; cur != wantVersion {
 				s.mu.Unlock()
@@ -1263,6 +1304,10 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	if s.abandoned(r, "feedback") {
+		s.mu.Unlock()
+		return
+	}
 	base := s.feedback.Len()
 	if err := s.commit(feedbackRecord(batch)); err != nil {
 		s.mu.Unlock()
@@ -1307,6 +1352,23 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
+// abandoned is the commit rule of every mutating handler, checked after
+// taking s.mu and before committing: if the request context has ended —
+// http.TimeoutHandler answered 503 on the handler's behalf while it queued
+// for the lock or worked, or the client hung up — whoever asked was told
+// the request failed, so state must not change behind that answer (a client
+// retry would apply it twice). It logs the discarded mutation; the caller
+// writes nothing and returns.
+func (s *Server) abandoned(r *http.Request, what string) bool {
+	err := r.Context().Err()
+	if err == nil {
+		return false
+	}
+	s.log.Warn(what+" discarded: the request ended before it could commit",
+		"request_id", requestMeta(r).id, "version", s.state.Load().version, "err", err)
+	return true
+}
+
 // handleRefine runs a refinement session over the accumulated feedback and
 // atomically publishes the refined rules.
 func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
@@ -1342,12 +1404,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	hits, rebinds, _ := sess.CaptureStats()
 	s.mRefineHits.Add(hits)
 	s.mRefineMisses.Add(rebinds)
-	// http.TimeoutHandler has by now answered 503 on this handler's behalf
-	// (or the client hung up): whoever asked was told the request failed, so
-	// the rule set must not change behind that answer.
-	if err := r.Context().Err(); err != nil {
-		s.log.Warn("refinement discarded: the request ended before it finished",
-			"request_id", meta.id, "version", old.version, "err", err)
+	if s.abandoned(r, "refinement") {
 		return
 	}
 	comment := req.Comment

@@ -315,13 +315,20 @@ func TestFeedbackRefineStats(t *testing.T) {
 }
 
 // slowExpert accepts everything, but holds every generalization review
-// until release is closed — an analyst who answers after the deadline.
+// until release is closed — an analyst who answers after the deadline. When
+// entered is set it is closed as the first review starts: from then on the
+// refinement holds s.mu.
 type slowExpert struct {
 	expert.AutoAccept
 	release chan struct{}
+	entered chan struct{}
+	once    sync.Once
 }
 
 func (e *slowExpert) ReviewGeneralization(p *core.GenProposal) core.GenDecision {
+	if e.entered != nil {
+		e.once.Do(func() { close(e.entered) })
+	}
 	<-e.release
 	return e.AutoAccept.ReviewGeneralization(p)
 }
@@ -370,6 +377,108 @@ func TestTimedOutRefineDoesNotPublish(t *testing.T) {
 	}
 	if ok.OldVersion != 1 || ok.Version != 2 || ok.FraudCaptured != 1 {
 		t.Fatalf("refine after the timed-out one: %+v", ok)
+	}
+}
+
+// queueBehindRefine boots a server whose refinement blocks in its expert,
+// starts one (RefineTimeout is long: it will publish version 2 once
+// released) and returns when it holds s.mu. The returned func releases the
+// expert and waits for the refine's 200.
+func queueBehindRefine(t *testing.T, cfg Config) (*Server, *httptest.Server, func()) {
+	t.Helper()
+	schema := testSchema(t)
+	slow := &slowExpert{release: make(chan struct{}), entered: make(chan struct{})}
+	cfg.Schema, cfg.Rules, cfg.Expert, cfg.RefineTimeout = schema, mustRules(t, schema, "amount >= 100"), slow, time.Minute
+	s, ts := newTestServer(t, cfg)
+	code, body := postJSON(t, ts.URL+"/v1/feedback", map[string]any{"transactions": []any{
+		map[string]any{"attrs": map[string]any{"amount": 90, "hour": 12}, "score": 500, "label": "fraud"},
+	}}, nil)
+	if code != http.StatusOK {
+		t.Fatalf("feedback: %d %s", code, body)
+	}
+	refined := make(chan string, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/refine", "application/json", nil)
+		if err != nil {
+			refined <- err.Error()
+			return
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		refined <- fmt.Sprintf("%d %s", resp.StatusCode, raw)
+	}()
+	<-slow.entered
+	return s, ts, func() {
+		close(slow.release)
+		if got := <-refined; !strings.HasPrefix(got, "200 ") {
+			t.Fatalf("refine: %s", got)
+		}
+	}
+}
+
+// waitAbandoned waits until the handler of the timed-out request on route
+// (request.<route> span, answered 503) has returned: the span ends when its
+// last holder, the handler goroutine http.TimeoutHandler abandoned, lets go.
+func waitAbandoned(t *testing.T, s *Server, route string) {
+	t.Helper()
+	waitFor(t, "the timed-out "+route+" handler to return", func() bool {
+		for _, rec := range s.Tracer().Snapshot() {
+			for _, a := range rec.Attrs[:rec.NAttrs] {
+				if rec.Name == "request."+route && a.Key == "code" && a.Value() == int64(http.StatusServiceUnavailable) {
+					return true
+				}
+			}
+		}
+		return false
+	})
+}
+
+// TestTimedOutFeedbackDoesNotCommit: a feedback POST that queues for s.mu
+// behind a refinement longer than FeedbackTimeout is answered 503 timeout by
+// http.TimeoutHandler, and its handler, once it gets the lock, must not
+// append the batch behind that answer — a client retry would append it
+// twice.
+func TestTimedOutFeedbackDoesNotCommit(t *testing.T) {
+	s, ts, finishRefine := queueBehindRefine(t, Config{FeedbackTimeout: 50 * time.Millisecond})
+	code, body := postJSON(t, ts.URL+"/v1/feedback", map[string]any{"transactions": []any{
+		map[string]any{"attrs": map[string]any{"amount": 20, "hour": 3}, "score": 10, "label": "legit"},
+	}}, nil)
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"code":"timeout"`) {
+		t.Fatalf("feedback queued behind a refine: %d %s, want the 503 timeout envelope", code, body)
+	}
+	finishRefine()
+	waitAbandoned(t, s, "feedback")
+	resp, err := http.Get(ts.URL + "/v1/rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if n, etag, v := s.FeedbackLen(), resp.Header.Get("ETag"), s.Version(); n != 1 || etag != `"2"` || v != 2 {
+		t.Fatalf("after a timed-out feedback: %d feedback tx, ETag %s, version %d; want 1, \"2\" (the refine's), 2", n, etag, v)
+	}
+}
+
+// TestTimedOutPublishDoesNotCommit: the same rule for POST /v1/rules — a
+// publish that timed out while queued behind a refinement is not installed
+// once the lock frees; the refinement's version stays the published one.
+func TestTimedOutPublishDoesNotCommit(t *testing.T) {
+	s, ts, finishRefine := queueBehindRefine(t, Config{SwapTimeout: 50 * time.Millisecond})
+	code, body := postJSON(t, ts.URL+"/v1/rules", map[string]any{"rules": []string{"hour <= 6"}}, nil)
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"code":"timeout"`) {
+		t.Fatalf("publish queued behind a refine: %d %s, want the 503 timeout envelope", code, body)
+	}
+	finishRefine()
+	waitAbandoned(t, s, "rules")
+	resp, err := http.Get(ts.URL + "/v1/rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if n, etag, v := s.FeedbackLen(), resp.Header.Get("ETag"), s.Version(); n != 1 || etag != `"2"` || v != 2 {
+		t.Fatalf("after a timed-out publish: %d feedback tx, ETag %s, version %d; want 1, \"2\" (the refine's), 2", n, etag, v)
+	}
+	if got := s.Rules().Format(s.schema); strings.Contains(got, "hour <= 6") {
+		t.Fatalf("the timed-out publish's rules were installed:\n%s", got)
 	}
 }
 
