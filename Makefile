@@ -6,6 +6,11 @@
 #                 tests double as the proof that the 64-aligned chunk-parallel
 #                 evaluators are race-free, and the serve hot-swap test that
 #                 rule publishes never tear; see DESIGN.md §8-9)
+#   make race-deadline  rerun the deadline tests (TimedOut|Deadline|Queued in
+#                 internal/serve) ten times under the race detector: they
+#                 race real 20-100 ms request deadlines against a blocked
+#                 expert, a stalled body or a long refinement, and one pass
+#                 cannot show they are not flaky (~15 s)
 #   make vet      static analysis
 #   make fmt      fail if any .go file is not gofmt-clean (gofmt -l prints
 #                 nothing); run `gofmt -w .` to fix
@@ -36,7 +41,8 @@
 #                 /v1/rules ETag convergence, SIGKILL + restart one follower,
 #                 and require the aggregate follower throughput to clear a
 #                 core-aware factor (scripts/cluster-smoke.sh)
-#   make check    fmt + build + vet + test + race (each package once)
+#   make check    fmt + build + vet + test + race (each package once) +
+#                 race-deadline
 #   make ci       the full CI gate: check + smoke + crash-smoke +
 #                 cluster-smoke + trace-demo
 
@@ -48,7 +54,7 @@ COUNT     ?= 1
 ADDR      ?= 127.0.0.1:8080
 TRACE_OUT ?=
 
-.PHONY: all fmt build test race vet bench bench-json serve loadgen smoke crash-smoke cluster-smoke trace-demo check ci clean
+.PHONY: all fmt build test race race-deadline vet bench bench-json serve loadgen smoke crash-smoke cluster-smoke trace-demo check ci clean
 
 all: ci
 
@@ -60,6 +66,9 @@ test:
 
 race:
 	$(GO) test -race $(PKGS)
+
+race-deadline:
+	$(GO) test -race -count=10 -run 'TimedOut|Deadline|Queued' ./internal/serve
 
 vet:
 	$(GO) vet $(PKGS)
@@ -91,7 +100,7 @@ cluster-smoke:
 trace-demo:
 	GO=$(GO) TRACE_OUT=$(TRACE_OUT) bash scripts/trace-demo.sh
 
-check: fmt build vet test race
+check: fmt build vet test race race-deadline
 
 ci: check smoke crash-smoke cluster-smoke trace-demo
 	-GO=$(GO) BENCHTIME=100x WRITE=0 TOL=1.0 bash scripts/bench.sh

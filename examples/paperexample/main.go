@@ -51,7 +51,7 @@ func main() {
 	st := sess.Stats(rel)
 	fmt.Printf("captured frauds: %d/%d\n", st.FraudCaptured, st.FraudTotal)
 
-	fmt.Println("\n== The card holders verify l1, l2, l3 as legitimate ==")
+	fmt.Println("\n== The customers verify l1, l2, l3 as legitimate ==")
 	paperdata.LegitimateFollowUp(rel)
 
 	fmt.Println("\n== Algorithm 2: specialize to exclude them (Example 4.7) ==")

@@ -79,7 +79,7 @@ func ruleContainsRep(schema *relation.Schema, r *rules.Rule, rep cluster.Represe
 // nothing, so placing it behind the check cannot alter a decision; most
 // clusters are handled on arrival and are never ranked.
 func (s *Session) generalizeForRep(rel *relation.Relation, schema *relation.Schema, rep cluster.Representative) {
-	if s.repHandled(rel, schema, rep) {
+	if s.stopped() || s.repHandled(rel, schema, rep) {
 		return
 	}
 	topK := s.rankRules(rel, schema, rep)
@@ -126,7 +126,10 @@ func (s *Session) generalizeForRep(rel *relation.Relation, schema *relation.Sche
 			DL:        cand.dL,
 			DR:        cand.dR,
 		}
-		dec := s.reviewGeneralization(proposal)
+		dec, ok := s.reviewGeneralization(proposal)
+		if !ok {
+			return
+		}
 		result := s.resolveGenDecision(r, gen, changed, dec)
 		if s.opts.NumericOnly {
 			s.enforceNumericOnly(schema, result, r)
@@ -203,14 +206,18 @@ func (s *Session) resolveGenDecision(original, proposed *rules.Rule, changed []i
 // wrapping the (potentially human-paced) interaction in an
 // "expert.review_generalization" span that records which rule was shown, its
 // Equation 2 score and Definition 3.1 deltas, and whether the expert accepted.
-func (s *Session) reviewGeneralization(p *GenProposal) GenDecision {
+// A stopped session asks nothing and reports false.
+func (s *Session) reviewGeneralization(p *GenProposal) (GenDecision, bool) {
+	if s.stopped() {
+		return GenDecision{}, false
+	}
 	sp := trace.StartUnder(s.opts.Tracer, s.cur, "expert.review_generalization")
 	sp.Int("rule", int64(p.RuleIndex)).Float("score", p.Score).
 		Int("dF", int64(p.DF)).Int("dL", int64(p.DL)).Int("dR", int64(p.DR))
 	dec := s.expert.ReviewGeneralization(p)
 	sp.Bool("accept", dec.Accept)
 	sp.End()
-	return dec
+	return dec, true
 }
 
 // applyRuleEdit installs the new version of a rule and logs one condition
@@ -267,7 +274,7 @@ func (s *Session) addExactRule(rel *relation.Relation, schema *relation.Schema, 
 	for i := range changed {
 		changed[i] = i
 	}
-	dec := s.reviewGeneralization(&GenProposal{
+	dec, ok := s.reviewGeneralization(&GenProposal{
 		Schema:    schema,
 		Rel:       rel,
 		RuleIndex: -1,
@@ -275,6 +282,9 @@ func (s *Session) addExactRule(rel *relation.Relation, schema *relation.Schema, 
 		Changed:   changed,
 		Rep:       rep,
 	})
+	if !ok {
+		return
+	}
 	if dec.Accept && dec.Edited != nil && !dec.Edited.IsEmpty(schema) {
 		if s.opts.NumericOnly {
 			s.enforceNumericOnly(schema, dec.Edited, r)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/bitset"
 	"repro/internal/capture"
 	"repro/internal/cluster"
@@ -117,6 +119,9 @@ type Session struct {
 	// when untraced). Sessions are single-threaded, so a plain field with
 	// save/restore in startPhase suffices for correct nesting.
 	cur trace.Span
+	// ctx is the context of the running RefineContext (nil outside one); a
+	// session whose context has ended asks the expert nothing more.
+	ctx context.Context
 }
 
 // NewSession starts a session over an existing rule set. The rule set is
@@ -301,23 +306,43 @@ func (s *Session) CaptureRemaining(rel *relation.Relation) int {
 	return added
 }
 
+// stopped reports whether the running RefineContext's context has ended.
+func (s *Session) stopped() bool { return s.ctx != nil && s.ctx.Err() != nil }
+
 // Refine runs the general rule modification algorithm of Section 4 over the
 // relation (old and new transactions together): generalize to capture
 // fraudulent transactions, specialize to exclude legitimate ones, and repeat
 // until the expert is satisfied, the rules are stable, or MaxRounds passes
 // have run. It returns the statistics after the final round.
 func (s *Session) Refine(rel *relation.Relation) RoundStats {
+	return s.RefineContext(context.Background(), rel)
+}
+
+// RefineContext is Refine under ctx. The context is checked at the top of
+// every round and before every expert query (and before the ranking or split
+// search that leads to one); once it has ended the session asks the expert
+// nothing more and returns, leaving its rules part-refined.
+// The caller tells a stopped session by ctx.Err() and should discard it.
+// The Expert interface takes no context, so a query already in progress
+// delays the return until the expert answers.
+func (s *Session) RefineContext(ctx context.Context, rel *relation.Relation) RoundStats {
+	s.ctx = ctx
+	defer func() { s.ctx = nil }()
 	root, done := s.startPhase("session.refine")
 	root.Int("rows", int64(rel.Len())).Int("rules", int64(s.ruleSet.Len()))
 	defer done()
 	var st RoundStats
-	for i := 0; i < s.opts.maxRounds(); i++ {
+	for i := 0; i < s.opts.maxRounds() && ctx.Err() == nil; i++ {
 		sp, endRound := s.startPhase("refine.round")
 		sp.Int("round", int64(s.rounds))
 		before := s.log.Len()
 		s.Generalize(rel)
 		s.Specialize(rel)
 		s.rounds++
+		if s.stopped() {
+			endRound()
+			break
+		}
 		st = s.Stats(rel)
 		sp.Int("mods", int64(s.log.Len()-before)).
 			Int("fraud_captured", int64(st.FraudCaptured)).

@@ -59,7 +59,7 @@ func (s *Session) excludeLegit(rel *relation.Relation, schema *relation.Schema, 
 	// replacements exclude l, so this terminates — unless an expert edit
 	// reintroduces a capturing rule, which the iteration bound cuts off.
 	maxIter := 2*s.ruleSet.Len() + 8
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIter && !s.stopped(); iter++ {
 		capturing := s.captureFor(rel).CapturingRulesAt(l)
 		if len(capturing) == 0 {
 			return
@@ -114,7 +114,10 @@ func (s *Session) splitRule(rel *relation.Relation, schema *relation.Schema, rul
 			LegitIndex:   l,
 			Benefit:      cand.benefit,
 		}
-		dec := s.reviewSplit(proposal)
+		dec, ok := s.reviewSplit(proposal)
+		if !ok {
+			return
+		}
 		if dec.Accept || i == len(cands)-1 {
 			s.applySplit(schema, r, cand, dec, !dec.Accept)
 			return
@@ -124,8 +127,12 @@ func (s *Session) splitRule(rel *relation.Relation, schema *relation.Schema, rul
 
 // reviewSplit consults the expert on a split proposal, wrapping the
 // interaction in an "expert.review_split" span recording the rule, the split
-// attribute, its benefit and the verdict.
-func (s *Session) reviewSplit(p *SplitProposal) SplitDecision {
+// attribute, its benefit and the verdict. A stopped session asks nothing and
+// reports false.
+func (s *Session) reviewSplit(p *SplitProposal) (SplitDecision, bool) {
+	if s.stopped() {
+		return SplitDecision{}, false
+	}
 	sp := trace.StartUnder(s.opts.Tracer, s.cur, "expert.review_split")
 	sp.Int("rule", int64(p.RuleIndex)).Int("attr", int64(p.Attr)).
 		Float("benefit", p.Benefit).Int("legit", int64(p.LegitIndex))
@@ -135,7 +142,7 @@ func (s *Session) reviewSplit(p *SplitProposal) SplitDecision {
 	dec := s.expert.ReviewSplit(p)
 	sp.Bool("accept", dec.Accept)
 	sp.End()
-	return dec
+	return dec, true
 }
 
 // splitCandidates enumerates the possible splits of rule r to exclude the

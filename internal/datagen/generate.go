@@ -39,7 +39,7 @@ type Config struct {
 	// match an attack's window/amount/venue and force rule specialization.
 	NearMissFactor float64
 	// NearMissVerifyRate is the probability a near-miss is explicitly
-	// verified legitimate (cardholders dispute flags on these often).
+	// verified legitimate (customers dispute flags on these often).
 	NearMissVerifyRate float64
 	// InitialRuleScoreRate is the probability an incumbent rule carries a
 	// risk-score threshold ("in practice each rule also includes some

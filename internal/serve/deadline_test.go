@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/datagen"
 )
 
 // TestScoreDeadlineWhileQueued: a request whose deadline passes while it
@@ -76,6 +78,36 @@ func TestScoreStalledBody(t *testing.T) {
 	}
 	if n := s.httpCounter("/v1/score", http.StatusServiceUnavailable).Value(); n != 1 {
 		t.Fatalf("rudolf_http_requests_total{code=503} = %d, want 1", n)
+	}
+}
+
+// TestMutatingRoutesStalledBodyDeadline: the read deadline bounds a stalled
+// body on every mutating route too — 503 timeout, never a 400 "bad JSON".
+func TestMutatingRoutesStalledBodyDeadline(t *testing.T) {
+	schema := testSchema(t)
+	d := 100 * time.Millisecond
+	_, ts := newTestServer(t, Config{Schema: schema, Rules: mustRules(t, schema, "amount >= 100"),
+		SwapTimeout: d, FeedbackTimeout: d, RefineTimeout: d})
+	for _, c := range []struct{ path, ctype string }{
+		{"/v1/rules", "application/json"},
+		{"/v1/rules", "text/plain"},
+		{"/v1/feedback", "application/json"},
+		{"/v1/refine", "application/json"},
+	} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: test\r\nContent-Type: %s\r\nContent-Length: 1000\r\n\r\n{", c.path, c.ctype)
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // loopback
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s %s: no answer to a stalled body: %v", c.path, c.ctype, err)
+		}
+		if body := readAll(t, resp); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, `"code":"timeout"`) {
+			t.Errorf("%s %s stalled body: %d %s, want the 503 timeout envelope", c.path, c.ctype, resp.StatusCode, body)
+		}
+		conn.Close()
 	}
 }
 
@@ -160,4 +192,82 @@ func TestScoreAbortsStalledReader(t *testing.T) {
 	}
 	tr.CloseIdleConnections()
 	waitFor(t, "the goroutine count to settle", func() bool { return runtime.NumGoroutine() <= goroutines })
+}
+
+// TestFeedbackQueuedBehindRefineGivesUp: a feedback POST queued on the
+// control-plane lock behind a refinement whose expert never answers gives up
+// at its own deadline: 503 timeout with its request id in the envelope, from
+// the request goroutine itself — once it is answered no goroutine of it is
+// left parked on the lock, while the refinement is still running. Released
+// afterwards, the refinement publishes and the feedback was not appended.
+func TestFeedbackQueuedBehindRefineGivesUp(t *testing.T) {
+	// No alert ticker: its goroutines would blur the goroutine count.
+	s, ts, finishRefine := queueBehindRefine(t, Config{FeedbackTimeout: 50 * time.Millisecond, AlertInterval: -1})
+	// A connection of its own, closed with the response, so the count below
+	// returns to the baseline exactly when the handler is gone.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	goroutines := runtime.NumGoroutine()
+
+	raw, _ := json.Marshal(map[string]any{"transactions": []any{
+		map[string]any{"attrs": map[string]any{"amount": 20, "hour": 3}, "score": 10, "label": "legit"},
+	}})
+	start := time.Now()
+	resp, err := client.Post(ts.URL+"/v1/feedback", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	var env errorResponse
+	if err := json.Unmarshal([]byte(readAll(t, resp)), &env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != CodeTimeout ||
+		!strings.HasPrefix(env.Error.RequestID, "req-") || env.Error.RequestID != resp.Header.Get("X-Request-Id") {
+		t.Fatalf("feedback queued behind a refine: %d %+v (X-Request-Id %q), want 503 timeout carrying the request id",
+			resp.StatusCode, env.Error, resp.Header.Get("X-Request-Id"))
+	}
+	if elapsed < 50*time.Millisecond || elapsed > 5*time.Second {
+		t.Fatalf("queued feedback answered after %v, want at its 50ms deadline", elapsed)
+	}
+	waitFor(t, "the goroutine count to settle while the refine still runs",
+		func() bool { return runtime.NumGoroutine() <= goroutines })
+
+	finishRefine()
+	if n, v := s.FeedbackLen(), s.Version(); n != 1 || v != 2 {
+		t.Fatalf("after the queued feedback gave up: %d feedback tx, version %d; want 1 and the refine's 2", n, v)
+	}
+}
+
+// TestRefineDeadlineStopsSession: an AutoAccept refinement over a fixture
+// whose full run takes far longer than RefineTimeout (20 000 rows: ~2.4 s
+// on one x86-64 core, ~50x the deadline) answers 503 timeout — the session
+// stops at its next expert query instead of running to the end with the
+// control-plane lock held. Right after the 503 the lock is free and nothing
+// was published.
+func TestRefineDeadlineStopsSession(t *testing.T) {
+	ds := datagen.Generate(datagen.Config{Size: 20000, Seed: 1})
+	s, ts := newTestServer(t, Config{Schema: ds.Schema, Rules: datagen.InitialRules(ds, 20, 1),
+		RefineTimeout: 50 * time.Millisecond, AlertInterval: -1})
+	s.mu.Lock()
+	err := s.commit(feedbackRecord(ds.Rel))
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	code, body := postJSON(t, ts.URL+"/v1/refine", nil, nil)
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"code":"timeout"`) {
+		t.Fatalf("refine past its deadline: %d %s, want the 503 timeout envelope", code, body)
+	}
+	t.Logf("503 after %v", time.Since(start))
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := s.mu.lockCtx(ctx); err != nil {
+		t.Fatalf("the control-plane lock is still held after the refine's 503: %v", err)
+	}
+	s.mu.Unlock()
+	if v := s.Version(); v != 1 {
+		t.Fatalf("a timed-out refine published: version %d, want 1", v)
+	}
 }

@@ -432,7 +432,10 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Replication = s.replicationDebugState()
 	resp.Alerts = s.alertsDebugState()
-	s.mu.Lock()
+	if s.mu.lockCtx(r.Context()) != nil {
+		s.writeErrorID(w, "", http.StatusServiceUnavailable, CodeUnavailable, "canceled while queued for the control plane")
+		return
+	}
 	hits, rebinds, invalidates := s.cache.Stats()
 	resp.Capture = debugCaptureState{
 		BoundRules:  s.cache.Len(),

@@ -39,10 +39,11 @@ import (
 const snapPrefix = "snap-"
 
 // openDurability is the durable boot: restore the newest valid snapshot under
-// cfg.DataDir, then replay the WAL past its position into apply. It leaves
-// s.wal open for appending and reports whether any previous state was
-// restored (false on a first boot, where the caller publishes the initial
-// rules — which becomes WAL record 1).
+// cfg.DataDir, then replay the WAL past its position into apply — failing if
+// the WAL no longer reaches back to it (see walGap). It leaves s.wal open for
+// appending and reports whether any previous state was restored (false on a
+// first boot, where the caller publishes the initial rules — which becomes
+// WAL record 1).
 func (s *Server) openDurability() (restored bool, err error) {
 	dir := s.cfg.DataDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -69,14 +70,22 @@ func (s *Server) openDurability() (restored bool, err error) {
 		if e.Seq <= snapSeq {
 			return nil // already inside the snapshot
 		}
+		if applied == 0 && e.Seq > snapSeq+1 {
+			return walGap(e.Seq, snapSeq)
+		}
 		applied++
 		return s.applyPayload(e.Seq, e.Payload)
 	})
 	if err != nil {
 		return false, err
 	}
+	if first := l.Manifest().FirstSeq; first > snapSeq+1 {
+		// The same gap in a log with no records past it for replay to see.
+		l.Close() //nolint:errcheck // already failing
+		return false, walGap(first, snapSeq)
+	}
 	s.wal = l
-	s.lastSnapSeq = snapSeq
+	s.lastSnapSeq.Store(snapSeq)
 	if s.hist.Len() == 0 {
 		s.log.Info("data dir is empty, first boot", "data_dir", dir)
 		return false, nil
@@ -86,6 +95,15 @@ func (s *Server) openDurability() (restored bool, err error) {
 		"feedback", s.feedback.Len(), "snapshot_seq", snapSeq,
 		"replayed_records", applied, "wal_last_seq", l.LastSeq())
 	return true, nil
+}
+
+// walGap is the boot error for a WAL that starts at seq first when the newest
+// loadable snapshot ends at snapSeq: the segments in between were pruned
+// behind a newer snapshot that no longer loads, so replaying the rest would
+// serve without acknowledged records.
+func walGap(first, snapSeq uint64) error {
+	return fmt.Errorf("serve: the WAL starts at seq %d but the newest loadable snapshot ends at seq %d: records %d..%d are missing",
+		first, snapSeq, snapSeq+1, first-1)
 }
 
 // commit is the leader's whole write path: append rec to the WAL (when
@@ -126,7 +144,7 @@ func (s *Server) Snapshot() error {
 	// The state is serialized in memory under mu; the (slower) file writes
 	// and fsyncs below happen with the control plane unblocked.
 	s.mu.Lock()
-	if s.wal.LastSeq() == s.lastSnapSeq {
+	if s.wal.LastSeq() == s.lastSnapSeq.Load() {
 		s.mu.Unlock()
 		sp.Bool("skipped", true)
 		return nil
@@ -147,8 +165,8 @@ func (s *Server) Snapshot() error {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	s.mu.Lock()
-	if seq > s.lastSnapSeq {
-		s.lastSnapSeq = seq
+	if seq > s.lastSnapSeq.Load() {
+		s.lastSnapSeq.Store(seq)
 	}
 	s.mu.Unlock()
 	s.mSnapshots.Inc()

@@ -240,6 +240,71 @@ func TestDurableRejectsCorruptMidWAL(t *testing.T) {
 	}
 }
 
+// TestDurableRejectsPrunedWALGap: when the newest snapshot's manifest is
+// unreadable, boot falls back to an older snapshot (here: none), and the WAL
+// no longer reaches back to it — its early segments were pruned behind the
+// lost snapshot. Replaying the surviving suffix onto that older state would
+// silently drop acknowledged feedback and publishes; boot must fail and name
+// both sequence numbers. After a clean Close the surviving log is one empty
+// segment; after a crash it still holds the records past the first
+// snapshot, a publish among them (which a replay onto empty state would
+// trip over before reaching the end of the log).
+func TestDurableRejectsPrunedWALGap(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		t.Run(fmt.Sprintf("crash=%v", crash), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(t, dir)
+			cfg.WALSegmentBytes = 256
+			s, ts := newTestServer(t, cfg)
+			feedback := func(n int) {
+				for i := 0; i < n; i++ {
+					fb := map[string]any{"transactions": []map[string]any{
+						{"attrs": map[string]any{"amount": 300, "hour": 5}, "score": 1, "label": "fraud"},
+					}}
+					if code, body := postJSON(t, ts.URL+"/v1/feedback", fb, nil); code != http.StatusOK {
+						t.Fatalf("feedback %d: %d %s", i, code, body)
+					}
+				}
+			}
+			feedback(20)
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			feedback(5)
+			if crash {
+				if code, body := postJSON(t, ts.URL+"/v1/rules", map[string]any{"rules": []string{"hour <= 6"}}, nil); code != http.StatusOK {
+					t.Fatalf("publish: %d %s", code, body)
+				}
+			}
+			ts.Close()
+			if !crash {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			manifests, err := filepath.Glob(filepath.Join(dir, "snap-*", manifestFile))
+			if err != nil || len(manifests) == 0 {
+				t.Fatalf("no snapshot manifests found: %v %v", manifests, err)
+			}
+			for _, m := range manifests {
+				if err := os.WriteFile(m, []byte("garbage"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s2, err := New(cfg)
+			if err == nil {
+				s2.Close()
+				t.Fatalf("New succeeded over a WAL pruned past the only loadable state: version %d, %d feedback tx (26 records were acked)",
+					s2.Version(), s2.FeedbackLen())
+			}
+			if msg := err.Error(); !strings.Contains(msg, "WAL starts at seq") || !strings.Contains(msg, "snapshot ends at seq 0") {
+				t.Fatalf("error %q does not name the WAL's first seq and the snapshot's seq", msg)
+			}
+		})
+	}
+}
+
 // TestCrashRecoveryRace hammers feedback, publishes and snapshots
 // concurrently, abandons the server without Close, reopens the directory and
 // asserts every acked operation survived. Run under -race this also checks

@@ -188,9 +188,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		resp.Ready = resp.Ready && f.ready()
 	} else if s.wal != nil {
 		resp.WALLastSeq = s.wal.LastSeq()
-		s.mu.Lock()
-		resp.SnapshotSeq = s.lastSnapSeq
-		s.mu.Unlock()
+		resp.SnapshotSeq = s.lastSnapSeq.Load()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

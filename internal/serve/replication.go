@@ -63,14 +63,11 @@ func (s *Server) handleWALSegments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := s.wal.Manifest()
-	s.mu.Lock()
-	snapSeq := s.lastSnapSeq
-	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, walSegmentsResponse{
 		RequestID:   requestMeta(r).id,
 		FirstSeq:    m.FirstSeq,
 		LastSeq:     m.LastSeq,
-		SnapshotSeq: snapSeq,
+		SnapshotSeq: s.lastSnapSeq.Load(),
 		Segments:    m.Segments,
 	})
 }
@@ -88,9 +85,7 @@ func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !s.requireWAL(w, r) {
 		return
 	}
-	s.mu.Lock()
-	seq := s.lastSnapSeq
-	s.mu.Unlock()
+	seq := s.lastSnapSeq.Load()
 	if q := r.URL.Query().Get("seq"); q != "" {
 		v, err := strconv.ParseUint(q, 10, 64)
 		if err != nil {
@@ -128,8 +123,8 @@ func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
 // `from` that was already pruned answers 409 — the follower's signal to
 // re-bootstrap from a snapshot.
 //
-// The route is mounted without http.TimeoutHandler (the response is
-// long-lived by design) and uninstrumented (a stream span would live for
+// The route is mounted without a deadline (the response is long-lived by
+// design) and uninstrumented (a stream span would live for
 // minutes and always be promoted into the slow ring). The stream ends when
 // the client disconnects, the server drains, or the WAL is corrupt.
 func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {

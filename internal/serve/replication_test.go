@@ -250,7 +250,7 @@ func TestTornSnapshotIsRefused(t *testing.T) {
 	if err := leader.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	seq := leader.lastSnapSeq
+	seq := leader.lastSnapSeq.Load()
 	dir := filepath.Join(leader.cfg.DataDir, snapName(seq))
 	intact, err := readSnapshotDir(dir)
 	if err != nil {

@@ -135,8 +135,9 @@ type Server struct {
 	vRuleStale *telemetry.FloatGaugeVec
 
 	// Durability (nil / zero when Config.DataDir is empty; see durable.go).
-	wal         *wal.Log
-	lastSnapSeq uint64
+	wal *wal.Log
+	// lastSnapSeq: the newest snapshot's WAL seq; written under s.mu only.
+	lastSnapSeq atomic.Uint64
 	snapStop    chan struct{}
 	snapDone    chan struct{}
 	closeOnce   sync.Once
@@ -511,16 +512,15 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// mount instruments h under the request span request.<span>.
 	mount := func(path, span string, h http.Handler) { mux.Handle(path, s.instrument(path, span, h)) }
-	// Score owns its deadline (see ownDeadline); the mutating routes stay
-	// behind http.TimeoutHandler.
+	// Every route with a deadline owns it (see ownDeadline).
 	mount("/v1/score", "score", s.ownDeadline(http.HandlerFunc(s.handleScore), s.cfg.ScoreTimeout))
 	// The mutating routes are wrapped by the read-only guard: on a follower
 	// their write methods answer 403 "read_only" with a Location header
 	// pointing at the leader; their read methods (GET /v1/rules) and
 	// wrong-method 405s pass through. No-op on a leader.
-	mount("/v1/rules", "rules", s.readOnly(s.timeout(http.HandlerFunc(s.handleRules), s.cfg.SwapTimeout), http.MethodPost))
-	mount("/v1/feedback", "feedback", s.readOnly(s.timeout(http.HandlerFunc(s.handleFeedback), s.cfg.FeedbackTimeout), http.MethodPost))
-	mount("/v1/refine", "refine", s.readOnly(s.timeout(http.HandlerFunc(s.handleRefine), s.cfg.RefineTimeout), http.MethodPost))
+	mount("/v1/rules", "rules", s.readOnly(s.ownDeadline(http.HandlerFunc(s.handleRules), s.cfg.SwapTimeout), http.MethodPost))
+	mount("/v1/feedback", "feedback", s.readOnly(s.ownDeadline(http.HandlerFunc(s.handleFeedback), s.cfg.FeedbackTimeout), http.MethodPost))
+	mount("/v1/refine", "refine", s.readOnly(s.ownDeadline(http.HandlerFunc(s.handleRefine), s.cfg.RefineTimeout), http.MethodPost))
 	mount("/v1/stats", "stats", http.HandlerFunc(s.handleStats))
 	mount("/v1/schema", "schema", http.HandlerFunc(s.handleSchema))
 	mount("/v1/rules/health", "rules_health", http.HandlerFunc(s.handleRuleHealth))
@@ -623,9 +623,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // after the request reached it, and sets the connection's read and write
 // deadlines to that same instant through http.ResponseController. There is
 // no second goroutine and no response buffer: h checks the context itself
-// at the points where a 503 is still possible, streams its response, and
-// once the first chunk is out the write deadline is the only bound (see
-// scoreStream.write for what a write that fails then does).
+// at the points where a 503 is still possible — waiting for a worker slot
+// or the control-plane lock (lockCommit), and in a refinement session
+// before every expert query — and once its first byte is out the write
+// deadline is the only bound (see scoreStream.write for what a write that
+// fails then does).
 func (s *Server) ownDeadline(h http.Handler, d time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), d)
@@ -637,35 +639,6 @@ func (s *Server) ownDeadline(h http.Handler, d time.Duration) http.Handler {
 		rc.SetReadDeadline(deadline)  //nolint:errcheck // see above
 		rc.SetWriteDeadline(deadline) //nolint:errcheck // see above
 		h.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
-// timeout wraps h with http.TimeoutHandler unless d <= 0. The timeout body
-// is the uniform error envelope (no request id: the handler goroutine owns
-// the request context by then).
-//
-// http.TimeoutHandler runs h on a goroutine of its own and, on a timeout,
-// returns without waiting for it, so h can still be using the request span
-// after instrument is done with the request. The handler goroutine therefore
-// holds the span too (see reqState): whoever lets go last ends it. Rules,
-// feedback and refine stay behind this wrapper until refinement can be
-// canceled (ROADMAP item 4): a refine holds s.mu for its whole run, and a
-// handler queued behind it has no way to give up the wait.
-func (s *Server) timeout(h http.Handler, d time.Duration) http.Handler {
-	if d <= 0 {
-		return h
-	}
-	th := http.TimeoutHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if st := requestState(r); st != nil {
-			defer st.release()
-		}
-		h.ServeHTTP(w, r)
-	}), d, `{"error":{"code":"timeout","message":"request timed out"}}`)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if st := requestState(r); st != nil {
-			st.holders.Add(1) // released by the handler goroutine th starts
-		}
-		th.ServeHTTP(w, r)
 	})
 }
 
@@ -689,8 +662,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Unwrap lets http.ResponseController reach the connection's writer: the
-// score route sets its socket deadlines through it.
+// Unwrap lets http.ResponseController reach the connection's writer:
+// ownDeadline sets the socket deadlines through it.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // reqMetaKey carries the per-request id and span through the context.
@@ -702,36 +675,11 @@ type reqMeta struct {
 	span trace.Span
 }
 
-// reqState is what instrument puts in the request context: the correlation
-// metadata plus the bookkeeping that ends the request span. The span is held
-// by instrument and, on routes behind http.TimeoutHandler, by the handler
-// goroutine, which outlives the request when it times out; the last holder
-// to release ends the span, with the status code instrument recorded.
-type reqState struct {
-	reqMeta
-	holders atomic.Int32
-	code    int // written by instrument before its release
-}
-
-func (st *reqState) release() {
-	if st.holders.Add(-1) == 0 {
-		st.span.Int("code", int64(st.code))
-		st.span.End()
-	}
-}
-
-func requestState(r *http.Request) *reqState {
-	st, _ := r.Context().Value(reqMetaKey{}).(*reqState)
-	return st
-}
-
 // requestMeta returns the request's correlation metadata (zero when the
 // route is uninstrumented).
 func requestMeta(r *http.Request) reqMeta {
-	if st := requestState(r); st != nil {
-		return st.reqMeta
-	}
-	return reqMeta{}
+	meta, _ := r.Context().Value(reqMetaKey{}).(reqMeta)
+	return meta
 }
 
 // instrument applies the body limit, mints a request id (echoed as the
@@ -747,9 +695,7 @@ func (s *Server) instrument(path, base string, h http.Handler) http.Handler {
 		sp := s.tracer.Start(name)
 		sp.Str("id", id)
 		w.Header().Set("X-Request-Id", id)
-		st := &reqState{reqMeta: reqMeta{id: id, span: sp}}
-		st.holders.Store(1)
-		r = r.WithContext(context.WithValue(r.Context(), reqMetaKey{}, st))
+		r = r.WithContext(context.WithValue(r.Context(), reqMetaKey{}, reqMeta{id: id, span: sp}))
 		sw := &statusWriter{ResponseWriter: w}
 		// Deferred, so that a response aborted mid-body (a panic with
 		// http.ErrAbortHandler, see scoreStream.write) still ends its span
@@ -758,8 +704,8 @@ func (s *Server) instrument(path, base string, h http.Handler) http.Handler {
 			if sw.code == 0 {
 				sw.code = http.StatusOK
 			}
-			st.code = sw.code
-			st.release()
+			sp.Int("code", int64(sw.code))
+			sp.End()
 			s.httpCounter(path, sw.code).Inc()
 		}()
 		h.ServeHTTP(sw, r)
@@ -871,8 +817,7 @@ func isClientGone(err error) bool {
 		errors.Is(err, syscall.ECONNRESET) ||
 		errors.Is(err, net.ErrClosed) ||
 		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, http.ErrHandlerTimeout)
+		errors.Is(err, context.DeadlineExceeded)
 }
 
 // methodNotAllowed answers a wrong-method request uniformly: 405 with the
@@ -899,23 +844,26 @@ func (s *Server) writeErrorID(w http.ResponseWriter, requestID string, status in
 }
 
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		// A body still arriving when the read deadline (score) or the
-		// request context (every route) runs out is a timeout, not bad JSON.
-		if errors.Is(err, os.ErrDeadlineExceeded) || r.Context().Err() != nil {
-			s.writeTimeout(w, r, "reading the request body")
-			return false
-		}
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "bad JSON: %v", err)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		s.writeBodyError(w, r, fmt.Errorf("bad JSON: %w", err))
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request whose body could not be read or parsed.
+// A body still arriving when the read deadline or the request context runs
+// out is a timeout, not a bad body.
+func (s *Server) writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded) || r.Context().Err() != nil:
+		s.writeTimeout(w, r, "reading the request body")
+	case errors.As(err, &tooBig):
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "body exceeds %d bytes", tooBig.Limit)
+	default:
+		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
+	}
 }
 
 // buildRelation parses and validates a wire batch into a relation, honoring
@@ -1107,10 +1055,8 @@ func (s *Server) evaluate(sp trace.Span, st *ruleState, sc *scoreState, rel *rel
 }
 
 // writeTimeout answers a request whose deadline passed at a check point
-// with 503 "timeout". On the score route the socket write deadline is that
-// same, already past, instant; the envelope gets timeoutReplyGrace to reach
-// the client. (Behind http.TimeoutHandler there is no deadline to move, and
-// the 503 has been sent already.)
+// with 503 "timeout". The socket write deadline is that same, already past,
+// instant; the envelope gets timeoutReplyGrace to reach the client.
 func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, during string) {
 	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeoutReplyGrace)) //nolint:errcheck // ErrNotSupported: no socket deadline to move
 	s.writeError(w, r, http.StatusServiceUnavailable, CodeTimeout, "request deadline passed while %s", during)
@@ -1183,12 +1129,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		}
 		texts, comment, err := readRulesBody(r)
 		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				s.writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "%v", err)
-				return
-			}
-			s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
+			s.writeBodyError(w, r, err)
 			return
 		}
 		rs := rules.NewSet()
@@ -1200,9 +1141,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 			}
 			rs.Add(rule)
 		}
-		s.mu.Lock()
-		if s.abandoned(r, "publish") {
-			s.mu.Unlock()
+		if !s.lockCommit(w, r, "publish", false) {
 			return
 		}
 		if ok {
@@ -1303,9 +1242,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	if s.abandoned(r, "feedback") {
-		s.mu.Unlock()
+	if !s.lockCommit(w, r, "feedback", false) {
 		return
 	}
 	base := s.feedback.Len()
@@ -1352,21 +1289,33 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// abandoned is the commit rule of every mutating handler, checked after
-// taking s.mu and before committing: if the request context has ended —
-// http.TimeoutHandler answered 503 on the handler's behalf while it queued
-// for the lock or worked, or the client hung up — whoever asked was told
-// the request failed, so state must not change behind that answer (a client
-// retry would apply it twice). It logs the discarded mutation; the caller
-// writes nothing and returns.
-func (s *Server) abandoned(r *http.Request, what string) bool {
-	err := r.Context().Err()
+// lockCommit is the commit guard of every mutating handler: it takes s.mu
+// under the request context — or, with held set, re-checks the request for a
+// caller that already holds s.mu (refine, after its session) — and reports
+// whether the request may still commit, with s.mu held. If the context ended
+// first — the deadline passed while the request queued for the lock or
+// worked, or the client hung up — it releases s.mu if it took it, logs the
+// discarded mutation and answers 503 "timeout", and the caller returns:
+// state never changes behind that answer (a client retry would apply it
+// twice). A request that may commit gets timeoutReplyGrace past its deadline
+// to write the answer.
+func (s *Server) lockCommit(w http.ResponseWriter, r *http.Request, what string, held bool) bool {
+	ctx := r.Context()
+	locked := !held && s.mu.lockCtx(ctx) == nil
+	err := ctx.Err()
 	if err == nil {
-		return false
+		if deadline, ok := ctx.Deadline(); ok {
+			http.NewResponseController(w).SetWriteDeadline(deadline.Add(timeoutReplyGrace)) //nolint:errcheck // see writeTimeout
+		}
+		return true
+	}
+	if locked {
+		s.mu.Unlock()
 	}
 	s.log.Warn(what+" discarded: the request ended before it could commit",
 		"request_id", requestMeta(r).id, "version", s.state.Load().version, "err", err)
-	return true
+	s.writeTimeout(w, r, "committing the "+what)
+	return false
 }
 
 // handleRefine runs a refinement session over the accumulated feedback and
@@ -1382,7 +1331,9 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mu.Lock()
+	if !s.lockCommit(w, r, "refinement", false) {
+		return
+	}
 	defer s.mu.Unlock()
 	if s.feedback.Len() == 0 {
 		s.writeError(w, r, http.StatusConflict, CodeConflict, "no feedback ingested yet")
@@ -1399,12 +1350,14 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	// attributed to the request id echoed in the response.
 	opts.Tracer = s.tracer
 	opts.TraceParent = meta.span
+	// The session stops at its next expert query once the deadline passes;
+	// the guard below then discards it.
 	sess := core.NewSession(old.set, s.cfg.Expert, opts)
-	stats := sess.Refine(s.feedback)
+	stats := sess.RefineContext(r.Context(), s.feedback)
 	hits, rebinds, _ := sess.CaptureStats()
 	s.mRefineHits.Add(hits)
 	s.mRefineMisses.Add(rebinds)
-	if s.abandoned(r, "refinement") {
+	if !s.lockCommit(w, r, "refinement", true) {
 		return
 	}
 	comment := req.Comment
@@ -1442,7 +1395,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.methodNotAllowed(w, r, http.MethodGet)
 		return
 	}
-	s.mu.Lock()
+	if s.mu.lockCtx(r.Context()) != nil {
+		s.writeError(w, r, http.StatusServiceUnavailable, CodeUnavailable, "canceled while queued for the control plane")
+		return
+	}
 	defer s.mu.Unlock()
 	st := s.state.Load()
 	resp := statsResponse{RequestID: requestMeta(r).id, Version: st.version, Rules: st.set.Len(), Feedback: s.feedback.Len()}

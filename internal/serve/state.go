@@ -24,6 +24,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -178,7 +179,7 @@ type replicated struct {
 	// mu serializes control-plane state: rule swaps, history commits,
 	// feedback appends, their WAL writes, snapshots, the capture cache and
 	// refinement. The scoring data plane never takes it.
-	mu       sync.Mutex
+	mu       ctxMutex
 	hist     *history.Store
 	feedback *relation.Relation
 	cache    *capture.Cache
@@ -201,6 +202,32 @@ type replicated struct {
 	onInstall func(st *ruleState, seq uint64, comment string)
 }
 
+// ctxMutex is a mutex whose waiters can give up: a one-slot channel, full
+// while held. Lock and Unlock behave as sync.Mutex's do.
+type ctxMutex chan struct{}
+
+func (m ctxMutex) Lock() { m <- struct{}{} }
+
+func (m ctxMutex) Unlock() {
+	select {
+	case <-m:
+	default:
+		panic("serve: unlock of unlocked ctxMutex")
+	}
+}
+
+// lockCtx takes the lock, or returns ctx's error if ctx ends first. When
+// both are ready either may win, so a caller that must not act on an ended
+// context re-checks it after taking the lock (lockCommit).
+func (m ctxMutex) lockCtx(ctx context.Context) error {
+	select {
+	case m <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // newReplicated returns the empty state over schema — no versions, no
 // feedback, an empty version-0 rule set published (scoreable: nothing flags)
 // — continuing hist when the caller supplies one.
@@ -211,6 +238,7 @@ func newReplicated(schema *relation.Schema, hist *history.Store) (*replicated, e
 	r := &replicated{
 		schema:   schema,
 		hist:     hist,
+		mu:       make(ctxMutex, 1),
 		feedback: relation.New(schema),
 		cache:    capture.New(),
 	}

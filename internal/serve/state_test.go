@@ -124,7 +124,7 @@ func applyEquivalence(t *testing.T, seed int64) {
 			if err := leader.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
-			snapSeq = leader.lastSnapSeq
+			snapSeq = leader.lastSnapSeq.Load()
 		}
 	}
 	lts.Close()
