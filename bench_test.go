@@ -437,8 +437,8 @@ func BenchmarkCompiledEvalAttributed(b *testing.B) {
 // BenchmarkCompiledEvalAttributedLazy measures the lazy variant behind plain
 // `"explain": true`: matched rules get their full check breakdown from the
 // arena, non-matched rules only their flags (margins re-derived on demand by
-// AttributeRule). On fraud-shaped data almost nothing matches, so this
-// should sit near EvalFirst, far below the full table above.
+// AttributeRuleAppend). On fraud-shaped data almost nothing matches, so this
+// should sit near EvalFirstInto, far below the full table above.
 func BenchmarkCompiledEvalAttributedLazy(b *testing.B) {
 	ds := datagen.Generate(datagen.Config{Size: 5000, Seed: 1})
 	rs := datagen.InitialRules(ds, 30, 1)

@@ -6,6 +6,7 @@ package cli
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/alert"
@@ -86,28 +87,40 @@ func LoadOrNewHistory(path string, s *relation.Schema) (*history.Store, error) {
 	return st, err
 }
 
-// SaveHistory writes the history as JSON to path.
-func SaveHistory(path string, st *history.Store) error {
-	f, err := os.Create(path)
+// save writes path through a temporary file in the same directory that is
+// synced and renamed over path, so a failed or interrupted write leaves the
+// previous contents of path intact. The temporary file is removed on error.
+func save(path string, write func(w io.Writer) error) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := st.WriteJSON(f); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if err := write(f); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	return f.Close()
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
-// SaveRules writes the rule set, one rule per line, to path.
+// SaveHistory writes the history as JSON to path, replacing it atomically.
+func SaveHistory(path string, st *history.Store) error {
+	return save(path, st.WriteJSON)
+}
+
+// SaveRules writes the rule set, one rule per line, to path, replacing it
+// atomically.
 func SaveRules(path string, s *relation.Schema, rs *rules.Set) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rules.WriteSet(f, s, rs); err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return f.Close()
+	return save(path, func(w io.Writer) error { return rules.WriteSet(w, s, rs) })
 }

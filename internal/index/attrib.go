@@ -12,7 +12,7 @@ import (
 // first matching rule it records, per tuple, which rules fired and how far
 // every non-trivial condition was from flipping — the decision provenance
 // the serving layer's `"explain": true` mode and the offline CLI's -explain
-// flag surface to analysts. Plain Eval/EvalFirst are untouched, so scoring
+// flag surface to analysts. Plain Eval/EvalFirstInto are untouched, so scoring
 // with attribution off pays nothing (BenchmarkServeScore guards this).
 //
 // Margins are signed and satisfy one invariant, proven differentially in
@@ -95,7 +95,7 @@ type RuleAttribution struct {
 	// ascending attribute index, with the score-threshold check (Attr ==
 	// ScoreAttr) last when the rule has one. Under lazy evaluation
 	// (EvalAttributedLazyInto) Checks is nil for rules that did not match;
-	// AttributeRule re-derives the full breakdown on demand.
+	// AttributeRuleAppend re-derives the full breakdown on demand.
 	Checks []CheckAttribution
 }
 
@@ -205,19 +205,15 @@ func (e *Evaluator) attributeRuleAppend(ri int, rel *relation.Relation, i int, d
 	return out
 }
 
-// AttributeRule re-derives the full attribution of compiled rule ri against
-// tuple i — the compact on-demand companion of the lazy evaluation path:
-// EvalAttributedLazyInto leaves non-matching rules' Checks nil, and callers
-// that need a specific rule's margins anyway (a "how close was rule 7?"
-// query) recompute exactly that rule here instead of paying for all of them.
-func (e *Evaluator) AttributeRule(ri int, rel *relation.Relation, i int) RuleAttribution {
-	return e.attributeRuleAppend(ri, rel, i, nil, e.winCols(rel))
-}
-
-// AttributeRuleAppend is AttributeRule writing into caller-owned storage:
-// checks are appended to dst (pass dst[:0] to reuse its capacity) and the
-// returned attribution's Checks aliases the appended region. A steady-state
-// caller reuses one scratch slice across many rules and never allocates.
+// AttributeRuleAppend re-derives the full attribution of compiled rule ri
+// against tuple i — the compact on-demand companion of the lazy evaluation
+// path: EvalAttributedLazyInto leaves non-matching rules' Checks nil, and
+// callers that need a specific rule's margins anyway (a "how close was rule
+// 7?" query) recompute exactly that rule here instead of paying for all of
+// them. Checks are appended to dst (pass dst[:0] to reuse its capacity, nil
+// to allocate) and the returned attribution's Checks aliases the appended
+// region. A steady-state caller reuses one scratch slice across many rules
+// and never allocates.
 func (e *Evaluator) AttributeRuleAppend(ri int, rel *relation.Relation, i int, dst []CheckAttribution) RuleAttribution {
 	return e.attributeRuleAppend(ri, rel, i, dst, e.winCols(rel))
 }
@@ -368,7 +364,7 @@ func (e *Evaluator) EvalAttributedInto(rel *relation.Relation, buf *AttributionB
 // same short-circuiting check as Eval and carry a nil Checks (Matched,
 // Empty and the per-tuple Matched list stay exact — proven differentially
 // by TestEvalAttributedLazyDifferential). Callers needing a non-matching
-// rule's margins re-derive just that rule via AttributeRule. This is the
+// rule's margins re-derive just that rule via AttributeRuleAppend. This is the
 // serving layer's explain path: analysts ask "why was this flagged", which
 // only the firing rules answer.
 func (e *Evaluator) EvalAttributedLazyInto(rel *relation.Relation, buf *AttributionBuffer) *bitset.Set {
@@ -397,30 +393,15 @@ func (e *Evaluator) EvalAttributed(rel *relation.Relation) (*bitset.Set, []Tuple
 	return out, buf.Tuples
 }
 
-// EvalAttributedUnder is EvalAttributed wrapped in an
-// "index.eval_attributed" span nested under parent; the zero parent Span
-// makes it exactly EvalAttributed.
-func (e *Evaluator) EvalAttributedUnder(parent trace.Span, rel *relation.Relation) (*bitset.Set, []TupleAttribution) {
-	sp := parent.Child("index.eval_attributed")
-	out, attrs := e.EvalAttributed(rel)
-	sp.Int("rows", int64(rel.Len())).Int("rules", int64(len(e.rules))).Int("chunks", int64(e.chunkCount(rel.Len())))
-	sp.End()
-	return out, attrs
-}
-
-// EvalFirst returns, per transaction, the index of the first matching rule
-// (or NoRule when none matches) — the same short-circuiting loop as Eval,
-// writing an int32 per tuple instead of a bit. The serving hot path uses it
-// so per-rule fire accounting costs nothing beyond the write: first-match
-// attribution is the standard fire semantics of an ordered rule list.
-func (e *Evaluator) EvalFirst(rel *relation.Relation) []int32 {
-	return e.EvalFirstInto(rel, nil)
-}
-
-// EvalFirstInto is EvalFirst writing into caller-owned storage: dst is
-// resized (reallocating only when the relation outgrows its capacity) and
-// returned, so a pooled slice makes repeated first-match scoring
-// allocation-free (the BenchmarkCompiledEvalFirst B/op guard).
+// EvalFirstInto returns, per transaction, the index of the first matching
+// rule (or NoRule when none matches) — the same short-circuiting loop as
+// Eval, writing an int32 per tuple instead of a bit. The serving hot path
+// uses it so per-rule fire accounting costs nothing beyond the write:
+// first-match attribution is the standard fire semantics of an ordered rule
+// list. The result is written into dst, which is resized (reallocating only
+// when the relation outgrows its capacity, or when dst is nil) and returned,
+// so a pooled slice makes repeated first-match scoring allocation-free
+// (TestAttributionIntoAllocs guards it).
 func (e *Evaluator) EvalFirstInto(rel *relation.Relation, dst []int32) []int32 {
 	n := rel.Len()
 	if cap(dst) < n {
@@ -442,14 +423,8 @@ func (e *Evaluator) EvalFirstInto(rel *relation.Relation, dst []int32) []int32 {
 	return out
 }
 
-// NoRule is the EvalFirst marker for "no rule matched".
+// NoRule is the EvalFirstInto marker for "no rule matched".
 const NoRule int32 = -1
-
-// EvalFirstUnder is EvalFirst wrapped in an "index.eval_first" span nested
-// under parent.
-func (e *Evaluator) EvalFirstUnder(parent trace.Span, rel *relation.Relation) []int32 {
-	return e.EvalFirstIntoUnder(parent, rel, nil)
-}
 
 // EvalFirstIntoUnder is EvalFirstInto wrapped in an "index.eval_first" span
 // nested under parent.

@@ -42,8 +42,9 @@ func TestEvalAttributedIntoDifferential(t *testing.T) {
 // TestEvalAttributedLazyDifferential proves the lazy path against the eager
 // one: identical union bitset, identical Matched lists and Matched/Empty
 // flags, byte-identical check breakdowns for every rule that fired, nil
-// Checks (never stale data) for rules that did not — and that AttributeRule
-// re-derives exactly the eager breakdown for those on demand.
+// Checks (never stale data) for rules that did not — and that
+// AttributeRuleAppend re-derives exactly the eager breakdown for those on
+// demand.
 func TestEvalAttributedLazyDifferential(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		seed := seed
@@ -86,10 +87,10 @@ func TestEvalAttributedLazyDifferential(t *testing.T) {
 						t.Fatalf("tuple %d rule %d: non-matched lazy rule carries checks %v", i, ri, lr.Checks)
 					}
 					// On-demand re-derivation reproduces the eager breakdown —
-					// margins, order and Matched identical — through both the
-					// allocating and the caller-scratch form.
-					if re := ev.AttributeRule(ri, rel, i); fmt.Sprint(re) != fmt.Sprint(er) {
-						t.Fatalf("tuple %d rule %d: AttributeRule %v, eager %v", i, ri, re, er)
+					// margins, order and Matched identical — through both a nil
+					// and a caller-scratch dst.
+					if re := ev.AttributeRuleAppend(ri, rel, i, nil); fmt.Sprint(re) != fmt.Sprint(er) {
+						t.Fatalf("tuple %d rule %d: AttributeRuleAppend(nil) %v, eager %v", i, ri, re, er)
 					}
 					if re := ev.AttributeRuleAppend(ri, rel, i, scratch[:0]); fmt.Sprint(re) != fmt.Sprint(er) {
 						t.Fatalf("tuple %d rule %d: AttributeRuleAppend %v, eager %v", i, ri, re, er)
@@ -100,8 +101,9 @@ func TestEvalAttributedLazyDifferential(t *testing.T) {
 	}
 }
 
-// TestEvalFirstIntoDifferential pins EvalFirstInto to EvalFirst under dst
-// reuse across differently-sized relations.
+// TestEvalFirstIntoDifferential pins EvalFirstInto with a reused dst to a
+// fresh allocation across differently-sized relations: no stale entry from a
+// longer earlier relation survives.
 func TestEvalFirstIntoDifferential(t *testing.T) {
 	var dst []int32
 	for seed := int64(0); seed < 40; seed++ {
@@ -110,14 +112,14 @@ func TestEvalFirstIntoDifferential(t *testing.T) {
 		rel := testutil.RandomRelation(rng, s, rng.Intn(300))
 		rs := testutil.RandomRuleSet(rng, s, rng.Intn(8))
 		ev := index.Compile(s, rs)
-		want := ev.EvalFirst(rel)
+		want := ev.EvalFirstInto(rel, nil)
 		dst = ev.EvalFirstInto(rel, dst)
 		if len(dst) != len(want) {
 			t.Fatalf("seed %d: EvalFirstInto len %d, want %d", seed, len(dst), len(want))
 		}
 		for i := range want {
 			if dst[i] != want[i] {
-				t.Fatalf("seed %d tuple %d: EvalFirstInto %d, EvalFirst %d", seed, i, dst[i], want[i])
+				t.Fatalf("seed %d tuple %d: reused dst %d, fresh %d", seed, i, dst[i], want[i])
 			}
 		}
 	}
@@ -165,8 +167,7 @@ func TestAttributionBufferMutationReuse(t *testing.T) {
 // buffer-backed paths: after one warm-up call, re-evaluating the same-shaped
 // relation must cost only the result bitset and the chunk goroutines — no
 // per-rule or per-tuple allocations (the 2.3M-allocs/op regression this
-// buffer design removed; the committed BENCH_core.json pins the benchmark
-// form of the same budget).
+// buffer design removed).
 func TestAttributionIntoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	s := testutil.RandomSchema(rng)
@@ -226,8 +227,8 @@ func FuzzEvalAttributedLazy(f *testing.F) {
 					t.Fatalf("seed %d tuple %d rule %d: checks diverged", seed, i, ri)
 				}
 				if !er.Matched {
-					if re := ev.AttributeRule(ri, rel, i); fmt.Sprint(re) != fmt.Sprint(er) {
-						t.Fatalf("seed %d tuple %d rule %d: AttributeRule diverged", seed, i, ri)
+					if re := ev.AttributeRuleAppend(ri, rel, i, nil); fmt.Sprint(re) != fmt.Sprint(er) {
+						t.Fatalf("seed %d tuple %d rule %d: AttributeRuleAppend diverged", seed, i, ri)
 					}
 				}
 			}

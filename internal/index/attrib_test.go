@@ -16,7 +16,7 @@ import (
 // path: across randomized schemas, relations and rule sets,
 // EvalAttributed's union bitset must equal Eval's (and Set.Eval's), the
 // per-tuple matched-rule lists must equal the per-rule capture bitsets of
-// EvalPerRule, EvalFirst must report the lowest matching rule index, and
+// EvalPerRule, EvalFirstInto must report the lowest matching rule index, and
 // every check must satisfy the margin invariant: Pass ⇔ Margin >= 0.
 func TestEvalAttributedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
@@ -38,9 +38,9 @@ func TestEvalAttributedDifferential(t *testing.T) {
 				t.Fatalf("EvalAttributed returned %d attributions for %d tuples", len(attrs), rel.Len())
 			}
 			per := ev.EvalPerRule(rel)
-			first := ev.EvalFirst(rel)
+			first := ev.EvalFirstInto(rel, nil)
 			if len(first) != rel.Len() {
-				t.Fatalf("EvalFirst returned %d entries for %d tuples", len(first), rel.Len())
+				t.Fatalf("EvalFirstInto returned %d entries for %d tuples", len(first), rel.Len())
 			}
 			for i := 0; i < rel.Len(); i++ {
 				// Matched rule indices == per-rule capture bitsets.
@@ -55,7 +55,7 @@ func TestEvalAttributedDifferential(t *testing.T) {
 					}
 				}
 				if first[i] != wantFirst {
-					t.Fatalf("tuple %d: EvalFirst = %d, want %d", i, first[i], wantFirst)
+					t.Fatalf("tuple %d: EvalFirstInto = %d, want %d", i, first[i], wantFirst)
 				}
 				a := attrs[i]
 				if len(a.Matched) != len(wantMatched) {

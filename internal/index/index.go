@@ -283,11 +283,9 @@ func (e *Evaluator) matches(cr *compiledRule, rel *relation.Relation, i int, wc 
 	return true
 }
 
-// parallelChunks splits [0, n) into 64-aligned chunks and runs fn over them
-// on parallel workers. The 64-alignment means no two workers ever touch the
-// same word of a *bitset.Set indexed by transaction, so chunk bodies may
-// write per-transaction bits without synchronization.
-func (e *Evaluator) parallelChunks(n int, fn func(lo, hi int)) {
+// chunkSize returns the 64-aligned chunk length parallelChunks splits n rows
+// into: about n/Workers rows, rounded up to a whole bitset word.
+func (e *Evaluator) chunkSize(n int) int {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -297,6 +295,15 @@ func (e *Evaluator) parallelChunks(n int, fn func(lo, hi int)) {
 	if chunk < align {
 		chunk = align
 	}
+	return chunk
+}
+
+// parallelChunks splits [0, n) into 64-aligned chunks and runs fn over them
+// on parallel workers. The 64-alignment means no two workers ever touch the
+// same word of a *bitset.Set indexed by transaction, so chunk bodies may
+// write per-transaction bits without synchronization.
+func (e *Evaluator) parallelChunks(n int, fn func(lo, hi int)) {
+	chunk := e.chunkSize(n)
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -355,15 +362,7 @@ func (e *Evaluator) EvalPerRuleUnder(parent trace.Span, rel *relation.Relation) 
 // chunkCount reports how many 64-aligned chunks parallelChunks would use
 // over n rows (span attribution only).
 func (e *Evaluator) chunkCount(n int) int {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	const align = 64
-	chunk := (n/workers + align) / align * align
-	if chunk < align {
-		chunk = align
-	}
+	chunk := e.chunkSize(n)
 	return (n + chunk - 1) / chunk
 }
 

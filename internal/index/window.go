@@ -15,8 +15,8 @@ import (
 // (winCols). The serving daemon stamps live columns onto each scored batch
 // from its window.Store; offline paths fall back to an exact replay
 // (window.ComputeColumns). Rule sets without windowed conditions resolve a
-// nil column table and pay nothing — the pinned allocation benchmarks
-// (BenchmarkCompiledEvalFirst) run unchanged.
+// nil column table and pay nothing — the pinned allocation budgets
+// (TestAttributionIntoAllocs) hold unchanged.
 
 // compiledWin is one windowed condition: the spec's index in the
 // evaluator's winSpecs and the admitted aggregate interval (one-sided

@@ -68,7 +68,7 @@ func TestCompiledWindowedEvalDifferential(t *testing.T) {
 		}
 		// Per-rule and first-match paths agree with per-rule reference.
 		per := e.EvalPerRule(rel)
-		first := e.EvalFirst(rel)
+		first := e.EvalFirstInto(rel, nil)
 		for i := 0; i < rel.Len(); i++ {
 			wantFirst := NoRule
 			for ri := 0; ri < rs.Len(); ri++ {
@@ -82,7 +82,7 @@ func TestCompiledWindowedEvalDifferential(t *testing.T) {
 				}
 			}
 			if first[i] != wantFirst {
-				t.Fatalf("seed %d tuple %d: EvalFirst %d, want %d", seed, i, first[i], wantFirst)
+				t.Fatalf("seed %d tuple %d: EvalFirstInto %d, want %d", seed, i, first[i], wantFirst)
 			}
 		}
 	}
@@ -105,7 +105,7 @@ func TestWindowedAttribution(t *testing.T) {
 		t.Fatal("spec not registered")
 	}
 	for i := 0; i < rel.Len(); i++ {
-		ra := e.AttributeRule(0, rel, i)
+		ra := e.AttributeRuleAppend(0, rel, i, nil)
 		var wcheck *CheckAttribution
 		for k := range ra.Checks {
 			if ra.Checks[k].IsWindow() {

@@ -155,7 +155,7 @@ func (t *Tracker) Reset(version, ruleCount int) {
 func (t *Tracker) Version() int { return t.ep.Load().version }
 
 // RecordFires ingests one scored batch's first-match attribution (the
-// []int32 produced by index.Evaluator.EvalFirst; NoRule entries count as
+// []int32 produced by index.Evaluator.EvalFirstInto; NoRule entries count as
 // unmatched traffic). Safe for concurrent use; the cost is one atomic add
 // per fired tuple plus one per batch.
 func (t *Tracker) RecordFires(first []int32) {
