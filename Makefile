@@ -14,30 +14,38 @@
 #   make vet      static analysis
 #   make fmt      fail if any .go file is not gofmt-clean (gofmt -l prints
 #                 nothing); run `gofmt -w .` to fix
+#   make sh-syntax  fail if any scripts/*.sh does not parse (bash -n), so a
+#                 broken smoke script fails the fast gate, not only `make ci`
 #   make bench    run the go-test benchmarks (no test re-run) for BENCHTIME
 #                 each; `make ci` runs every one once (BENCHTIME=1x) so a
 #                 benchmark that panics or fails fails CI. Serving
 #                 performance is judged by benchmark/ (BENCHMARK.json)
 #   make serve    run the online scoring daemon (cmd/rudolfd) on :8080
-#   make loadgen  drive traffic at a running daemon and report p50/p99
-#   make smoke    boot rudolfd on a random port, score a generated batch,
-#                 swap rules, refine on labeled feedback, and assert /metrics
-#                 and /v1/trace moved (scripts/smoke.sh)
-#   make trace-demo  boot rudolfd, drive load + one refinement, dump GET
+#   make loadgen  drive traffic at a running daemon and report tx/s, client
+#                 and /metrics latency, stage means and the slowest request
+#                 id; exits non-zero if any request failed or none succeeded
+#   make smoke    boot rudolfd on a random port, drive load with loadgen,
+#                 then assert with curl/jq: explain attribution and the
+#                 rule-health join, a velocity rule tripping, the slow ring
+#                 and debug state, an alert firing and resolving, and a clean
+#                 drain (scripts/smoke.sh)
+#   make trace-demo  boot rudolfd, drive load with loadgen, label audited
+#                 decisions as feedback and refine once (curl/jq), dump GET
 #                 /v1/trace and validate the Chrome trace with scripts/checktrace
 #                 (set TRACE_OUT=path to keep the trace file)
 #   make crash-smoke  boot rudolfd with a durable data directory, drive load
-#                 plus feedback/publish churn, SIGKILL it mid-flight, restart
-#                 on the same directory, and assert the acknowledged state
-#                 survived the crash (scripts/crash-smoke.sh)
+#                 with loadgen, then feedback/publish churn and 3 of 5 probes
+#                 of a velocity burst (curl/jq), SIGKILL it, restart on the
+#                 same directory, and assert version, feedback, WAL replay and
+#                 window margin exactly 0 on the last probe (scripts/crash-smoke.sh)
 #   make cluster-smoke  boot a durable leader plus two -follow followers,
 #                 drive concurrent load with a mid-load rule publish, assert
 #                 roles, the read_only write rejection and leader-exact
 #                 /v1/rules ETag convergence, SIGKILL + restart one follower,
 #                 and require the aggregate follower throughput to clear a
 #                 core-aware factor (scripts/cluster-smoke.sh)
-#   make check    fmt + build + vet + test + race (each package once) +
-#                 race-deadline
+#   make check    sh-syntax + fmt + build + vet + test + race (each package
+#                 once) + race-deadline
 #   make ci       the full CI gate: check + smoke + crash-smoke +
 #                 cluster-smoke + trace-demo + bench at BENCHTIME=1x
 
@@ -48,7 +56,7 @@ BENCHTIME ?= 1s
 ADDR      ?= 127.0.0.1:8080
 TRACE_OUT ?=
 
-.PHONY: all fmt build test race race-deadline vet bench serve loadgen smoke crash-smoke cluster-smoke trace-demo check ci clean
+.PHONY: all sh-syntax fmt build test race race-deadline vet bench serve smoke crash-smoke cluster-smoke trace-demo loadgen check ci clean
 
 all: ci
 
@@ -69,6 +77,9 @@ vet:
 
 fmt:
 	test -z "$$(gofmt -l .)"
+
+sh-syntax:
+	for f in scripts/*.sh; do bash -n "$$f" || exit 1; done
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem $(PKGS)
@@ -91,7 +102,7 @@ cluster-smoke:
 trace-demo:
 	GO=$(GO) TRACE_OUT=$(TRACE_OUT) bash scripts/trace-demo.sh
 
-check: fmt build vet test race race-deadline
+check: sh-syntax fmt build vet test race race-deadline
 
 ci: check smoke crash-smoke cluster-smoke trace-demo
 	$(MAKE) bench BENCHTIME=1x

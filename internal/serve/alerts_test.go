@@ -217,13 +217,35 @@ func TestAlertsPublish(t *testing.T) {
 }
 
 // TestBuildInfoMetric pins the build-identity gauge: constant 1, labeled
-// with the running toolchain and the daemon version.
+// with the running toolchain and the daemon version. The same default
+// configuration installs alert.DefaultRules(): after some scoring every
+// default rule is evaluated, quiet, and exported as an ALERTS series.
 func TestBuildInfoMetric(t *testing.T) {
 	schema := testSchema(t)
 	_, ts := newTestServer(t, Config{Schema: schema, Rules: mustRules(t, schema, "amount >= 100")})
 	want := fmt.Sprintf("rudolf_build_info{go_version=%q,version=%q} 1", goruntime.Version(), Version)
 	if metrics := getMetrics(t, ts.URL); !strings.Contains(metrics, want) {
 		t.Fatalf("/metrics missing %q", want)
+	}
+
+	for i := 0; i < 3; i++ {
+		if code, body := postJSON(t, ts.URL+"/v1/score", tx(500, 3, 9), nil); code != http.StatusOK {
+			t.Fatalf("score: %d %s", code, body)
+		}
+	}
+	doc, _ := getAlerts(t, ts.URL, true)
+	defaults := alert.DefaultRules()
+	if len(doc.Rules) != len(defaults) || doc.Firing != 0 {
+		t.Fatalf("default alerts: %d rules, %d firing; want %d quiet rules", len(doc.Rules), doc.Firing, len(defaults))
+	}
+	metrics := getMetrics(t, ts.URL)
+	for i, r := range defaults {
+		if got := doc.Rules[i]; got.Name != r.Name || got.State == "firing" {
+			t.Errorf("default alert %d = %+v, want %s not firing", i, got, r.Name)
+		}
+		if series := fmt.Sprintf("ALERTS{name=%q,severity=", r.Name); !strings.Contains(metrics, series) {
+			t.Errorf("/metrics missing %s...} for default alert %s", series, r.Name)
+		}
 	}
 }
 

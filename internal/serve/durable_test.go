@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/history"
+	"repro/internal/rulestats"
 )
 
 // durableConfig is a Config pointed at dir with fsync "always" and periodic
@@ -26,6 +27,23 @@ func durableConfig(t testing.TB, dir string) Config {
 		DataDir:          dir,
 		Fsync:            "always",
 		SnapshotInterval: -1,
+	}
+}
+
+// checkFreshHealth asserts that a rebooted server's GET /v1/rules/health
+// starts a fresh epoch at the replayed version: nothing scored since boot,
+// whatever the previous process scored.
+func checkFreshHealth(t *testing.T, s *Server, wantVersion int) {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var health rulestats.Snapshot
+	if code := getJSON(t, ts.URL+"/v1/rules/health", &health); code != http.StatusOK {
+		t.Fatalf("GET /v1/rules/health after restart = %d", code)
+	}
+	if health.Version != wantVersion || health.TotalTx != 0 {
+		t.Fatalf("/v1/rules/health after restart = version %d, %d scored; want version %d, 0 scored",
+			health.Version, health.TotalTx, wantVersion)
 	}
 }
 
@@ -50,6 +68,9 @@ func TestDurableRestart(t *testing.T) {
 	}}
 	if code, body := postJSON(t, ts.URL+"/v1/feedback", fb, nil); code != http.StatusOK {
 		t.Fatalf("POST /v1/feedback = %d: %s", code, body)
+	}
+	if code, body := postJSON(t, ts.URL+"/v1/score", tx(150, 23, 10), nil); code != http.StatusOK {
+		t.Fatalf("POST /v1/score = %d: %s", code, body)
 	}
 	wantVersion, wantFeedback := s.Version(), s.FeedbackLen()
 	if wantVersion != 2 || wantFeedback != 3 {
@@ -88,6 +109,7 @@ func TestDurableRestart(t *testing.T) {
 	if !ok || v2.ID != v1.ID || !v2.Time.Equal(v1.Time) || v2.Comment != v1.Comment {
 		t.Fatalf("restored latest version = %+v, want verbatim %+v", v2, v1)
 	}
+	checkFreshHealth(t, s2, wantVersion)
 }
 
 // TestDurableCrashRecovery: the same guarantee without Close — the original
@@ -109,6 +131,9 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if code, body := postJSON(t, ts.URL+"/v1/feedback", fb, nil); code != http.StatusOK {
 		t.Fatalf("feedback = %d: %s", code, body)
 	}
+	if code, body := postJSON(t, ts.URL+"/v1/score", tx(500, 1, 9), nil); code != http.StatusOK {
+		t.Fatalf("score = %d: %s", code, body)
+	}
 	wantVersion, wantFeedback := s.Version(), s.FeedbackLen()
 	ts.Close()
 	// No s.Close(): crash.
@@ -122,6 +147,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered state = version %d, feedback %d; want %d, %d",
 			s2.Version(), s2.FeedbackLen(), wantVersion, wantFeedback)
 	}
+	checkFreshHealth(t, s2, wantVersion)
 }
 
 // TestDurableSnapshot: a snapshot bounds replay (WAL segments pruned, the

@@ -199,6 +199,7 @@ func TestRulesGetAndSwap(t *testing.T) {
 	}
 
 	// JSON swap.
+	swapsBefore, _ := telemetry.ScrapeValue(getMetrics(t, ts.URL), "rudolf_rule_swaps_total")
 	var swapped rulesResponse
 	code, body := postJSON(t, ts.URL+"/v1/rules",
 		rulesSwapRequest{Rules: []string{"amount <= 50", "hour in [0,6]"}}, &swapped)
@@ -210,6 +211,14 @@ func TestRulesGetAndSwap(t *testing.T) {
 	}
 	if s.Version() != 2 || s.Rules().Len() != 2 {
 		t.Fatalf("server state: version %d, %d rules", s.Version(), s.Rules().Len())
+	}
+	// /metrics moved with the publish.
+	page := getMetrics(t, ts.URL)
+	if v, ok := telemetry.ScrapeValue(page, "rudolf_rules_version"); !ok || v != 2 {
+		t.Fatalf("rudolf_rules_version = %v, %v after the swap, want 2", v, ok)
+	}
+	if v, ok := telemetry.ScrapeValue(page, "rudolf_rule_swaps_total"); !ok || v <= swapsBefore {
+		t.Fatalf("rudolf_rule_swaps_total = %v, %v after the swap, want > %v", v, ok, swapsBefore)
 	}
 
 	// Bad rule text is rejected and nothing is published.

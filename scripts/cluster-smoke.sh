@@ -2,11 +2,12 @@
 # Replication smoke test for the WAL-shipping cluster (DESIGN.md §16): boot
 # one durable leader and two -follow followers, assert roles over GET
 # /v1/status and the read_only write rejection (stable envelope + Location
-# into the leader), measure a single-follower scoring baseline, then drive
-# both followers concurrently while the leader publishes a new rule set
-# mid-load and require every node to converge to the leader's exact
-# /v1/rules ETag. One follower is then SIGKILLed and restarted — it must
-# re-bootstrap from the leader and converge again. Finally the aggregate
+# into the leader), measure a single-follower scoring baseline with
+# cmd/loadgen, then drive both followers concurrently while the leader
+# publishes a new rule set mid-load and require every node to converge to
+# the leader's exact /v1/rules ETag. One follower is then SIGKILLed and
+# restarted — it must report role=follower, re-bootstrap from the leader,
+# converge to its ETag again and serve load. Finally the aggregate
 # two-follower throughput must beat the single-follower baseline by
 # CLUSTER_SMOKE_FACTOR. The default is core-aware and deliberately lenient —
 # this is a scale sanity check, not a benchmark: with >= 4 cores the two
@@ -109,6 +110,20 @@ etag_of() {
         awk 'tolower($1) == "etag:" { print $2 }' | tr -d '\r'
 }
 
+# converge <base-url>: wait until the follower serves the leader's current
+# /v1/rules ETag; fail if it never does.
+converge() {
+    local letag fetag
+    letag=$(etag_of "$LEADER")
+    for _ in $(seq 1 100); do
+        fetag=$(etag_of "$1")
+        [[ $fetag == "$letag" ]] && return 0
+        sleep 0.1
+    done
+    echo "cluster-smoke: $1 ETag $fetag never converged to leader ETag $letag" >&2
+    exit 1
+}
+
 # tx_rate <loadgen-log>: the load-phase throughput loadgen reported.
 tx_rate() {
     awk '/tx\/s/ { for (i = 1; i <= NF; i++) if ($i == "->") print $(i + 1) }' "$1" | head -n1
@@ -169,15 +184,15 @@ grep -qi "^Location: $LEADER/v1/rules" "$TMP/ro-headers" || {
 }
 
 echo "cluster-smoke: single-follower baseline ($DURATION)"
-"$BIN/loadgen" -url "$F1" -follower-of "$LEADER" -duration "$DURATION" \
+"$BIN/loadgen" -url "$F1" -duration "$DURATION" \
     -concurrency 4 -batch 64 | tee "$TMP/loadgen-base.log"
 BASE_RATE=$(tx_rate "$TMP/loadgen-base.log")
 
 echo "cluster-smoke: concurrent load on both followers, publish mid-load"
-"$BIN/loadgen" -url "$F1" -follower-of "$LEADER" -duration "$DURATION" \
+"$BIN/loadgen" -url "$F1" -duration "$DURATION" \
     -concurrency 4 -batch 64 -seed 2 >"$TMP/loadgen-f1.log" 2>&1 &
 LG1=$!
-"$BIN/loadgen" -url "$F2" -follower-of "$LEADER" -duration "$DURATION" \
+"$BIN/loadgen" -url "$F2" -duration "$DURATION" \
     -concurrency 4 -batch 64 -seed 3 >"$TMP/loadgen-f2.log" 2>&1 &
 LG2=$!
 sleep 1
@@ -189,19 +204,9 @@ wait "$LG1" || { echo "cluster-smoke: loadgen on follower 1 failed:" >&2; cat "$
 wait "$LG2" || { echo "cluster-smoke: loadgen on follower 2 failed:" >&2; cat "$TMP/loadgen-f2.log" >&2; exit 1; }
 
 echo "cluster-smoke: waiting for every node to converge on the leader's ETag"
-LETAG=$(etag_of "$LEADER")
-for f in "$F1" "$F2"; do
-    for _ in $(seq 1 100); do
-        [[ $(etag_of "$f") == "$LETAG" ]] && break
-        sleep 0.1
-    done
-    FETAG=$(etag_of "$f")
-    [[ $FETAG == "$LETAG" ]] || {
-        echo "cluster-smoke: $f ETag $FETAG never converged to leader ETag $LETAG" >&2
-        exit 1
-    }
-done
-echo "cluster-smoke: all nodes serve /v1/rules with ETag $LETAG"
+converge "$F1"
+converge "$F2"
+echo "cluster-smoke: all nodes serve /v1/rules with ETag $(etag_of "$LEADER")"
 
 echo "cluster-smoke: SIGKILL follower 2 (pid $F2_PID) and restart it"
 kill -KILL "$F2_PID"
@@ -209,9 +214,14 @@ wait "$F2_PID" 2>/dev/null || true
 F2_PID=""
 boot_follower 2
 wait_ready "$F2" "restarted follower 2"
-"$BIN/loadgen" -url "$F2" -follower-of "$LEADER" -duration 1s \
+[[ $(curl -fsS "$F2/v1/status" | jq -r .role) == follower ]] || {
+    echo "cluster-smoke: restarted follower 2 does not report role=follower" >&2
+    exit 1
+}
+converge "$F2"
+"$BIN/loadgen" -url "$F2" -duration 1s \
     -concurrency 2 -batch 64 -seed 4 >"$TMP/loadgen-f2b.log" 2>&1 || {
-    echo "cluster-smoke: restarted follower 2 failed its contract check:" >&2
+    echo "cluster-smoke: load on restarted follower 2 failed:" >&2
     cat "$TMP/loadgen-f2b.log" >&2
     exit 1
 }

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke test for the durable serving stack: boot rudolfd with
-# a data directory and -fsync always, drive scoring load plus durable churn
-# (feedback batches + rule republishes) with cmd/loadgen, kill the daemon
-# with SIGKILL mid-flight, restart it on the same data directory, and assert
-# with `loadgen -resume` that the rule-set version and feedback count
-# survived the crash, that the boot replayed WAL records, and that errors
-# arrive in the uniform envelope.
-# -velocity additionally publishes a windowed COUNT rule and scores part of
-# a same-key burst before the kill; the resume run finishes the burst and
-# requires the rule to fire with window margin exactly 0 — proof the crash
-# lost none of the observed transactions. Wired into `make crash-smoke` and
-# the `make ci` chain.
+# a data directory and -fsync always, drive scoring load with cmd/loadgen,
+# then durable churn with curl/jq (CHURN feedback batches, each followed by
+# a rule republish), publish a windowed COUNT(location, 10m) >= 5 rule and
+# score 3 of a 5-probe same-location burst. SIGKILL the daemon (no drain, no
+# flush), restart it on the same data directory, and assert that the rule-set
+# version and feedback count from /v1/stats survived, that the boot replayed
+# WAL records, and that the burst's last 2 probes trip the windowed rule with
+# window margin exactly 0 — proof the crash lost none of the observed
+# transactions. Wired into `make crash-smoke` and the `make ci` chain.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,10 +63,53 @@ echo "crash-smoke: booting rudolfd with -data-dir (fsync always)"
 boot "$TMP/rudolfd-1.log"
 echo "crash-smoke: rudolfd is up on $ADDR (pid $DAEMON_PID)"
 
-echo "crash-smoke: load + durable churn ($CHURN feedback batches + republishes)"
-"$BIN/loadgen" -url "http://$ADDR" -duration "$DURATION" -concurrency 4 -batch 64 \
-    -churn "$CHURN" -state-file "$TMP/state" -velocity
-echo "crash-smoke: recorded state: $(cat "$TMP/state")"
+BASE="http://$ADDR"
+echo "crash-smoke: load phase"
+"$BIN/loadgen" -url "$BASE" -duration "$DURATION" -concurrency 4 -batch 64
+
+# The audit ring's sampled decisions are valid wire transactions: label them
+# in turn as the churn's feedback, and replay the first as the burst probe.
+AUDIT=$(curl -fsS "$BASE/v1/audit?n=8")
+jq -e '[.entries | to_entries[]
+        | {attrs: .value.attrs, score: .value.score,
+           label: (["fraud", "legit", "unlabeled"][.key % 3])}]
+       | select(length > 0) | {transactions: .}' <<<"$AUDIT" >"$TMP/feedback.json" || {
+    echo "crash-smoke: the audit ring is empty after the load phase" >&2
+    exit 1
+}
+ATTRS=$(jq '.entries[0].attrs' <<<"$AUDIT")
+
+echo "crash-smoke: durable churn ($CHURN feedback batches + republishes)"
+RULES=$(curl -fsS "$BASE/v1/rules" | jq '.rules')
+for i in $(seq 1 "$CHURN"); do
+    curl -fsS -H 'Content-Type: application/json' -X POST "$BASE/v1/feedback" \
+        --data-binary @"$TMP/feedback.json" >/dev/null
+    curl -fsS -H 'Content-Type: application/json' -X POST "$BASE/v1/rules" \
+        -d "{\"rules\": $RULES, \"comment\": \"crash-smoke churn $i\"}" >/dev/null
+done
+
+# probes <first> <n>: an explain-mode score body of n same-location probes at
+# consecutive minutes from <first>, all inside one 10-minute window.
+probes() {
+    jq -n --argjson a "$ATTRS" --argjson t "$1" --argjson n "$2" \
+        '{transactions: [range(0; $n) | {attrs: ($a + {time: ($t + .)}), score: 500}], explain: true}'
+}
+
+# The velocity rule goes last, at index VEL; the load phase ran before any
+# windowed rule existed, so the burst's count starts from zero.
+VEL=$(jq 'length' <<<"$RULES")
+curl -fsS -H 'Content-Type: application/json' -X POST "$BASE/v1/rules" \
+    -d "{\"rules\": $(jq '. + ["COUNT(location, 10m) >= 5"]' <<<"$RULES"), \"comment\": \"crash-smoke velocity\"}" >/dev/null
+PRE=$(curl -fsS -H 'Content-Type: application/json' -X POST "$BASE/v1/score" -d "$(probes 200 3)")
+jq -e --argjson v "$VEL" '[.explanations[].matched | index($v) == null] | length == 3 and all' <<<"$PRE" >/dev/null || {
+    echo "crash-smoke: velocity rule fired below its threshold before the kill: $PRE" >&2
+    exit 1
+}
+
+STATS=$(curl -fsS "$BASE/v1/stats")
+VERSION=$(jq .version <<<"$STATS")
+FEEDBACK=$(jq .feedback <<<"$STATS")
+echo "crash-smoke: recorded state: version=$VERSION feedback=$FEEDBACK, 3/5 burst probes observed"
 
 echo "crash-smoke: SIGKILL to pid $DAEMON_PID (no drain, no flush)"
 kill -KILL "$DAEMON_PID"
@@ -77,10 +118,33 @@ DAEMON_PID=""
 
 echo "crash-smoke: restarting on the same data directory"
 boot "$TMP/rudolfd-2.log"
+BASE="http://$ADDR"
 echo "crash-smoke: rudolfd is back on $ADDR"
 
 echo "crash-smoke: asserting the recorded state survived the crash"
-"$BIN/loadgen" -url "http://$ADDR" -resume -state-file "$TMP/state" -velocity
+STATS=$(curl -fsS "$BASE/v1/stats")
+jq -e --argjson v "$VERSION" --argjson f "$FEEDBACK" '.version == $v and .feedback == $f' <<<"$STATS" >/dev/null || {
+    echo "crash-smoke: restored state $STATS, want version=$VERSION feedback=$FEEDBACK" >&2
+    exit 1
+}
+# The boot must have replayed the log, not just started fresh.
+curl -fsS "$BASE/metrics" | awk '$1 == "rudolf_wal_replayed_records_total" && $2 > 0 {found=1} END {exit !found}' || {
+    echo "crash-smoke: rudolf_wal_replayed_records_total is not positive after the restart" >&2
+    exit 1
+}
+# The burst's last 2 probes make 5: the rule fires on the last with window
+# margin exactly 0, which holds only if all 3 pre-crash observations were
+# recovered from the WAL.
+POST=$(curl -fsS -H 'Content-Type: application/json' -X POST "$BASE/v1/score" -d "$(probes 203 2)")
+jq -e --argjson v "$VEL" '
+    (.explanations[1].matched | index($v) != null)
+    and ([.explanations[1].rules[] | select(.rule == $v) | .checks[]
+          | select(.kind == "window") | .margin] | length > 0 and all(. == 0))
+' <<<"$POST" >/dev/null || {
+    echo "crash-smoke: velocity rule $VEL did not fire with window margin 0 after the crash: $POST" >&2
+    exit 1
+}
+echo "crash-smoke: restored version=$VERSION feedback=$FEEDBACK, WAL replayed, velocity rule fired with margin 0"
 
 # Graceful drain of the recovered daemon: SIGTERM must exit cleanly and
 # flush its state.

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Smoke test for the online scoring daemon: boot rudolfd on a random port,
-# drive a generated batch load through /v1/score with cmd/loadgen, swap the
-# rules, and assert that /metrics moved (transactions scored, version
-# bumped). Wired into `make smoke` and the `make ci` chain.
+# drive a generated batch load through /v1/score with cmd/loadgen (which
+# fails on any failed request), then assert with curl/jq, the way an
+# operator would: explain-mode attribution and the feedback-driven rule
+# health join, a windowed velocity rule tripping on a burst, the slow ring
+# and /v1/debug/state, an alert's breach and resolve, and a clean SIGTERM
+# drain. Wired into `make smoke` and the `make ci` chain.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,9 +31,9 @@ $GO build -o "$BIN/loadgen" ./cmd/loadgen
 
 echo "smoke: booting rudolfd on a random port"
 # -alert-interval 100ms: the fast ticker the alert phase at the bottom
-# relies on. No -alerts file — loadgen -smoke asserts the compiled-in
-# default SLO rules are installed (and quiet); the alert phase then swaps
-# in its own aggressive rule through POST /v1/alerts.
+# relies on. No -alerts file: the daemon boots the compiled-in default SLO
+# rules, and the alert phase swaps in its own aggressive rule through
+# POST /v1/alerts.
 "$BIN/rudolfd" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -size 2000 -seed 1 \
     -alert-interval 100ms \
     >"$TMP/rudolfd.log" 2>&1 &
@@ -54,15 +57,14 @@ fi
 ADDR=$(head -n1 "$TMP/addr" | tr -d '[:space:]')
 echo "smoke: rudolfd is up on $ADDR"
 
-# Load phase + control-plane assertions (swap rules, /metrics moved).
-"$BIN/loadgen" -url "http://$ADDR" -duration "$DURATION" -concurrency 4 -batch 64 -smoke
+# Load phase: exits non-zero if any scoring request failed.
+"$BIN/loadgen" -url "http://$ADDR" -duration "$DURATION" -concurrency 4 -batch 64
 
 # --- Decision provenance + rule health, exercised from the outside -------
-# loadgen asserted these through its Go client; repeat the core invariants
-# with curl+jq, the way an operator would, against a rule set the script
-# controls: republish the served rules plus a catch-all score-threshold
-# rule, replay a transaction from the audit ring through explain-mode
-# scoring, and assert the attribution and the feedback-driven TP/FP join.
+# Against a rule set the script controls: republish the served rules plus a
+# catch-all score-threshold rule, replay a transaction from the audit ring
+# through explain-mode scoring, and assert the attribution and the
+# feedback-driven TP/FP join.
 echo "smoke: explain + rule-health assertions (curl/jq)"
 BASE="http://$ADDR"
 
@@ -73,9 +75,12 @@ curl -fsS -H 'Content-Type: application/json' -X POST "$BASE/v1/rules" \
     -d "{\"rules\": $NEW_RULES, \"comment\": \"smoke catch-all\"}" >/dev/null
 VERSION=$(curl -fsS "$BASE/v1/rules" | jq .version)
 
-# The audit ring survives rule swaps; its rendered attrs are a valid wire
-# transaction (loadgen already asserted the ring is non-empty).
-ATTRS=$(curl -fsS "$BASE/v1/audit?n=1" | jq '.entries[0].attrs')
+# The audit ring survives rule swaps and sampled the load phase; its
+# rendered attrs are a valid wire transaction.
+ATTRS=$(curl -fsS "$BASE/v1/audit?n=1" | jq -e '.entries[0].attrs') || {
+    echo "smoke: the audit ring is empty after the load phase" >&2
+    exit 1
+}
 TX="{\"attrs\": $ATTRS, \"score\": 500}"
 
 # Default explain mode: a breakdown per *fired* rule, margins consistent.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Trace demo: boot rudolfd on a random port, drive load plus one
-# feedback-driven refinement through it with cmd/loadgen -smoke, then dump
+# Trace demo: boot rudolfd on a random port, drive load through it with
+# cmd/loadgen, label 32 audited decisions fraud/legit/unlabeled in turn as
+# feedback and run one POST /v1/refine over them (curl/jq), then dump
 # GET /v1/trace to a Chrome trace_event JSON file and validate it with
 # scripts/checktrace (well-formed, span tree sound, at least one refine.round
 # span with expert-query descendants). The dumped file loads directly in
@@ -52,13 +53,29 @@ fi
 ADDR=$(head -n1 "$TMP/addr" | tr -d '[:space:]')
 echo "trace-demo: rudolfd is up on $ADDR"
 
-# Load + feedback + /refine: the -smoke pass runs the refinement whose spans
-# the trace must contain.
-"$BIN/loadgen" -url "http://$ADDR" -duration "$DURATION" -concurrency 4 -batch 32 -smoke
+BASE="http://$ADDR"
+"$BIN/loadgen" -url "$BASE" -duration "$DURATION" -concurrency 4 -batch 32
+
+# Feedback + /refine: the refinement whose spans the trace must contain. The
+# audit ring's sampled decisions are valid wire transactions; labelling them
+# in turn gives the refinement frauds to chase and legitimates to protect.
+echo "trace-demo: labelling audited decisions as feedback and refining"
+curl -fsS "$BASE/v1/audit?n=32" | jq -e '
+    [.entries | to_entries[]
+     | {attrs: .value.attrs, score: .value.score,
+        label: (["fraud", "legit", "unlabeled"][.key % 3])}]
+    | select(length > 0) | {transactions: .}' >"$TMP/feedback.json" || {
+    echo "trace-demo: the audit ring is empty after the load phase" >&2
+    exit 1
+}
+curl -fsS -H 'Content-Type: application/json' -X POST "$BASE/v1/feedback" \
+    --data-binary @"$TMP/feedback.json" >/dev/null
+curl -fsS -H 'Content-Type: application/json' -X POST "$BASE/v1/refine" -d '{}' |
+    jq -c '{old_version, version, modifications}'
 
 # Dump GET /v1/trace to $OUT and validate it in one go.
 echo "trace-demo: dumping and validating GET /v1/trace"
-"$BIN/checktrace" -o "$OUT" "http://$ADDR/v1/trace"
+"$BIN/checktrace" -o "$OUT" "$BASE/v1/trace"
 echo "trace-demo: chrome trace written to $OUT (load it in ui.perfetto.dev)"
 
 kill -TERM "$DAEMON_PID"
