@@ -16,6 +16,8 @@
 #                 nothing); run `gofmt -w .` to fix
 #   make sh-syntax  fail if any scripts/*.sh does not parse (bash -n), so a
 #                 broken smoke script fails the fast gate, not only `make ci`
+#   make examples run each examples/* program (stdout discarded) and fail on
+#                 the first non-zero exit; `go build` only compiles them
 #   make bench    run the go-test benchmarks (no test re-run) for BENCHTIME
 #                 each; `make ci` runs every one once (BENCHTIME=1x) so a
 #                 benchmark that panics or fails fails CI. Serving
@@ -44,8 +46,8 @@
 #                 /v1/rules ETag convergence, SIGKILL + restart one follower,
 #                 and require the aggregate follower throughput to clear a
 #                 core-aware factor (scripts/cluster-smoke.sh)
-#   make check    sh-syntax + fmt + build + vet + test + race (each package
-#                 once) + race-deadline
+#   make check    sh-syntax + fmt + build + vet + examples + test + race
+#                 (each package once) + race-deadline
 #   make ci       the full CI gate: check + smoke + crash-smoke +
 #                 cluster-smoke + trace-demo + bench at BENCHTIME=1x
 
@@ -56,7 +58,7 @@ BENCHTIME ?= 1s
 ADDR      ?= 127.0.0.1:8080
 TRACE_OUT ?=
 
-.PHONY: all sh-syntax fmt build test race race-deadline vet bench serve smoke crash-smoke cluster-smoke trace-demo loadgen check ci clean
+.PHONY: all sh-syntax fmt build examples test race race-deadline vet bench serve smoke crash-smoke cluster-smoke trace-demo loadgen check ci clean
 
 all: ci
 
@@ -81,6 +83,9 @@ fmt:
 sh-syntax:
 	for f in scripts/*.sh; do bash -n "$$f" || exit 1; done
 
+examples:
+	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
+
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem $(PKGS)
 
@@ -102,7 +107,7 @@ cluster-smoke:
 trace-demo:
 	GO=$(GO) TRACE_OUT=$(TRACE_OUT) bash scripts/trace-demo.sh
 
-check: sh-syntax fmt build vet test race race-deadline
+check: sh-syntax fmt build vet examples test race race-deadline
 
 ci: check smoke crash-smoke cluster-smoke trace-demo
 	$(MAKE) bench BENCHTIME=1x

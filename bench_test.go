@@ -413,27 +413,6 @@ func TestCompiledEvalFirstBytesPerOp(t *testing.T) {
 	}
 }
 
-// BenchmarkCompiledEvalAttributed measures the full-provenance evaluation
-// (every rule, every non-trivial condition, no short-circuits) on the same
-// workload — the cost an `"explain_all": true` scoring request pays per
-// tuple. The arena-backed AttributionBuffer is reused across iterations,
-// exactly as the serving path reuses its pooled buffer, so steady-state
-// allocs/op stays O(1) instead of the pre-arena O(tuples × rules × checks)
-// (2.3M allocs/op, 175 MB/op on this workload).
-func BenchmarkCompiledEvalAttributed(b *testing.B) {
-	ds := datagen.Generate(datagen.Config{Size: 5000, Seed: 1})
-	rs := datagen.InitialRules(ds, 30, 1)
-	e := index.Compile(ds.Schema, rs)
-	var buf index.AttributionBuffer
-	e.EvalAttributedInto(ds.Rel, &buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.EvalAttributedInto(ds.Rel, &buf)
-	}
-	b.ReportMetric(float64(ds.Rel.Len()*rs.Len()), "tuple_rule_pairs/op")
-}
-
 // BenchmarkCompiledEvalAttributedLazy measures the lazy variant behind plain
 // `"explain": true`: matched rules get their full check breakdown from the
 // arena, non-matched rules only their flags (margins re-derived on demand by

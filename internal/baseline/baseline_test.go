@@ -44,7 +44,7 @@ func TestThresholdFitsSeparableScores(t *testing.T) {
 	if c := th.Refine(ds.Rel); c.Modifications != 0 {
 		t.Errorf("stable refit counted %d modifications", c.Modifications)
 	}
-	if th.Theta() == 0 {
+	if th.theta == 0 {
 		t.Error("threshold stayed at zero")
 	}
 }

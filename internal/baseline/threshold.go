@@ -79,6 +79,3 @@ func (t *Threshold) Predict(rel *relation.Relation) *bitset.Set {
 	}
 	return out
 }
-
-// Theta returns the current threshold (for tests and reports).
-func (t *Threshold) Theta() int16 { return t.theta }

@@ -73,13 +73,6 @@ func (s *Set) UnionWith(other *Set) {
 	}
 }
 
-// IntersectWith removes from s every element not in other.
-func (s *Set) IntersectWith(other *Set) {
-	for i := range s.words {
-		s.words[i] &= other.words[i]
-	}
-}
-
 // SymmetricDifferenceWith replaces s by s △ other: the elements in exactly
 // one of the two sets. Used to enumerate only the transactions whose capture
 // status changed between two rule-set versions.
@@ -136,19 +129,6 @@ func (s *Set) Equal(other *Set) bool {
 		}
 	}
 	return true
-}
-
-// Elems appends the elements of the set in increasing order to dst and
-// returns the extended slice.
-func (s *Set) Elems(dst []int) []int {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			dst = append(dst, wi*64+b)
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // ForEach calls fn for every element in increasing order.

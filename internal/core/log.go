@@ -48,15 +48,6 @@ func (l *Log) CountByKind() map[cost.ModKind]int {
 	return out
 }
 
-// TotalCost returns the summed cost of all modifications.
-func (l *Log) TotalCost() float64 {
-	var sum float64
-	for _, m := range l.mods {
-		sum += m.Cost
-	}
-	return sum
-}
-
 // String renders the log, one modification per line.
 func (l *Log) String() string {
 	var b strings.Builder

@@ -80,22 +80,6 @@ func Deltas(old, new *rules.Set, rel *relation.Relation) (dF, dL, dR int) {
 	return deltasFromSets(old.Eval(rel), new.Eval(rel), rel)
 }
 
-// DeltasForRuleSwap computes the deltas of replacing a single rule
-// (evaluated in isolation) by another, matching the per-rule arithmetic of
-// the paper's Example 4.4. Either rule may be nil, denoting "no rule"; this
-// expresses pure additions and removals.
-func DeltasForRuleSwap(old, new *rules.Rule, rel *relation.Relation) (dF, dL, dR int) {
-	empty := bitset.New(rel.Len())
-	oldCap, newCap := empty, empty
-	if old != nil {
-		oldCap = old.Captures(rel)
-	}
-	if new != nil {
-		newCap = new.Captures(rel)
-	}
-	return deltasFromSets(oldCap, newCap, rel)
-}
-
 func deltasFromSets(oldCap, newCap *bitset.Set, rel *relation.Relation) (dF, dL, dR int) {
 	// Walk only the symmetric difference: a rule edit is local, so the two
 	// capture sets typically differ in a handful of transactions out of the

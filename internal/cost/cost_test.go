@@ -161,17 +161,19 @@ func TestGeneralizationScoreAlreadyCapturing(t *testing.T) {
 	}
 }
 
+// TestDeltasForRuleSwapNil: swapping "no rule" for a rule (an empty set for
+// a one-rule set) and back gives negated deltas.
 func TestDeltasForRuleSwapNil(t *testing.T) {
 	s := paperdata.Schema()
 	rel := paperdata.Transactions(s)
-	r := rules.MustParse(s, "amount >= $100")
+	empty, r := rules.NewSet(), rules.NewSet(rules.MustParse(s, "amount >= $100"))
 	// Pure addition: everything r captures counts.
-	dF, dL, dR := DeltasForRuleSwap(nil, r, rel)
+	dF, dL, dR := Deltas(empty, r, rel)
 	if dF != 3 || dR != -2 || dL != 0 {
 		t.Errorf("add deltas = (%d,%d,%d), want (3,0,-2)", dF, dL, dR)
 	}
 	// Pure removal: signs flip.
-	dF2, dL2, dR2 := DeltasForRuleSwap(r, nil, rel)
+	dF2, dL2, dR2 := Deltas(r, empty, rel)
 	if dF2 != -dF || dL2 != -dL || dR2 != -dR {
 		t.Error("removal deltas are not the negation of addition deltas")
 	}

@@ -92,15 +92,20 @@ func TestGenerateBasicInvariants(t *testing.T) {
 		}
 	}
 	// Fraud rate near the 1.5% default (binomial tolerance).
-	frauds := len(ds.FraudIndices())
+	frauds := 0
+	for _, f := range ds.TrueFraud {
+		if f {
+			frauds++
+		}
+	}
 	rate := 100 * float64(frauds) / 3000
 	if rate < 0.7 || rate > 3.0 {
 		t.Errorf("fraud rate = %.2f%%, want near 1.5%%", rate)
 	}
 	// Every fraud lies inside its pattern region: each truly fraudulent
 	// tuple is captured by at least one truth rule.
-	for _, i := range ds.FraudIndices() {
-		if len(ds.Truth.CapturingRules(ds.Schema, ds.Rel.Tuple(i))) == 0 {
+	for i, f := range ds.TrueFraud {
+		if f && len(ds.Truth.CapturingRules(ds.Schema, ds.Rel.Tuple(i))) == 0 {
 			t.Fatalf("fraud %d outside every pattern", i)
 		}
 	}

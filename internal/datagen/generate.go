@@ -276,17 +276,6 @@ func pickPattern(rng *rand.Rand, patterns []Pattern, day int) (Pattern, bool) {
 	return Pattern{}, false
 }
 
-// FraudIndices returns the indices of the truly fraudulent transactions.
-func (ds *Dataset) FraudIndices() []int {
-	var out []int
-	for i, f := range ds.TrueFraud {
-		if f {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // SplitIndex returns the transaction index at the given fraction of the
 // dataset (for the before/after time split of the experiments).
 func (ds *Dataset) SplitIndex(fraction float64) int {

@@ -258,7 +258,7 @@ func TestNewMethodUnknownPanics(t *testing.T) {
 	NewMethod(MethodID("bogus"), ds, testSetup())
 }
 
-// TestFigureRendering covers the table and CSV output paths.
+// TestFigureRendering covers the table output path.
 func TestFigureRendering(t *testing.T) {
 	fig := Figure{
 		ID: "x", Title: "demo", XLabel: "k", YLabel: "v",
@@ -272,11 +272,6 @@ func TestFigureRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
-	}
-	var csv strings.Builder
-	fig.CSV(&csv)
-	if !strings.Contains(csv.String(), "k,a,b") || !strings.Contains(csv.String(), "1,10,30") {
-		t.Errorf("CSV output wrong:\n%s", csv.String())
 	}
 }
 

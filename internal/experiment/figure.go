@@ -66,26 +66,6 @@ func (f Figure) String() string {
 	return b.String()
 }
 
-// CSV writes the figure as comma-separated values.
-func (f Figure) CSV(w io.Writer) {
-	fmt.Fprint(w, f.XLabel)
-	for _, s := range f.Series {
-		fmt.Fprintf(w, ",%s", s.Name)
-	}
-	fmt.Fprintln(w)
-	for i := 0; i < f.rowCount(); i++ {
-		fmt.Fprint(w, f.xLabelAt(i))
-		for _, s := range f.Series {
-			if i < len(s.Y) {
-				fmt.Fprintf(w, ",%g", s.Y[i])
-			} else {
-				fmt.Fprint(w, ",")
-			}
-		}
-		fmt.Fprintln(w)
-	}
-}
-
 func (f Figure) rowCount() int {
 	n := 0
 	for _, s := range f.Series {

@@ -494,12 +494,3 @@ func lastError(ds *datagen.Dataset, setup Setup, m baseline.Method) float64 {
 	conf := metrics.Evaluate(m.Predict(ds.Rel), ds.TrueFraud, lastSeen, n)
 	return conf.BalancedErrorPct()
 }
-
-func roundSeries(name string, results []RoundResult, y func(RoundResult) float64) Series {
-	s := Series{Name: name}
-	for _, r := range results {
-		s.X = append(s.X, float64(r.Round))
-		s.Y = append(s.Y, y(r))
-	}
-	return s
-}

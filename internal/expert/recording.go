@@ -24,9 +24,6 @@ func NewRecording(inner core.Expert, out io.Writer) *Recording {
 	return &Recording{Inner: inner, Out: out}
 }
 
-// Interactions returns the number of recorded interactions.
-func (r *Recording) Interactions() int { return r.interactions }
-
 // ReviewGeneralization implements core.Expert.
 func (r *Recording) ReviewGeneralization(p *core.GenProposal) core.GenDecision {
 	dec := r.Inner.ReviewGeneralization(p)

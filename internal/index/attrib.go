@@ -45,8 +45,7 @@ type CheckAttribution struct {
 	// check (see IsWindow/Win). The struct deliberately stays at four fields:
 	// the compiler only keeps struct values in registers up to four fields
 	// (ssa.MaxStruct), and attribution copies these by value in its hottest
-	// loop — a fifth field for the spec index measured 2.3x slower on
-	// BenchmarkCompiledEvalAttributed.
+	// loop — a fifth field for the spec index measured 2.3x slower there.
 	Attr int
 	// Categorical marks ontological (concept-bound) checks.
 	Categorical bool
@@ -231,10 +230,12 @@ func (e *Evaluator) MaxRuleChecks() int {
 	return maxn
 }
 
-// AttributeTuple returns the full decision provenance of tuple i: the
-// point-query form of EvalAttributed, shared by cmd/rudolf's -explain flag.
+// AttributeTuple returns the full decision provenance of tuple i: every
+// rule's every non-trivial check, with no short-circuiting. cmd/rudolf's
+// -explain flag prints it, and the lazy batch path is tested against it.
 // All checks are carved from one arena (three allocations per call, not per
-// rule); batch callers should use EvalAttributedInto with a reused buffer.
+// rule); batch callers should use EvalAttributedLazyInto with a reused
+// buffer.
 func (e *Evaluator) AttributeTuple(rel *relation.Relation, i int) TupleAttribution {
 	perTuple := 0
 	for ri := range e.rules {
@@ -254,17 +255,17 @@ func (e *Evaluator) AttributeTuple(rel *relation.Relation, i int) TupleAttributi
 	return out
 }
 
-// AttributionBuffer is caller-owned, reusable storage for EvalAttributedInto
-// and EvalAttributedLazyInto. The zero value is ready to use; the first call
+// AttributionBuffer is caller-owned, reusable storage for
+// EvalAttributedLazyInto. The zero value is ready to use; the first call
 // sizes the arenas and later calls reuse them (growing only when the
 // relation or rule set outgrows the previous high-water mark), so a pooled
 // buffer makes repeated attribution allocation-free.
 //
 // Ownership rules: Tuples — and every Matched/Rules/Checks slice hanging off
 // it — aliases the buffer's arenas and is valid only until the next
-// Eval*Into call on the same buffer. Callers that hand the buffer back to a
-// pool must finish reading (or copy out) first; two concurrent evaluations
-// need two buffers.
+// EvalAttributedLazyInto call on the same buffer. Callers that hand the
+// buffer back to a pool must finish reading (or copy out) first; two
+// concurrent evaluations need two buffers.
 type AttributionBuffer struct {
 	// Tuples holds one attribution per transaction of the last evaluated
 	// relation (length rel.Len()), index-aligned with it.
@@ -314,11 +315,21 @@ func (b *AttributionBuffer) ensure(e *Evaluator, n int) {
 	}
 }
 
-// attributeInto is the shared chunk-parallel engine of the eager and lazy
-// buffer-backed evaluations. Tuple i's storage lives at fixed offsets
-// (rules/matched at i×nRules, checks at i×perTuple), so workers touch
-// disjoint arena regions and nothing synchronizes.
-func (e *Evaluator) attributeInto(rel *relation.Relation, buf *AttributionBuffer, lazy bool) *bitset.Set {
+// EvalAttributedLazyInto evaluates the relation with decision provenance
+// into buf and returns Eval's Φ(I) bitset. Condition-level margins are
+// materialized only for rules that fire: non-matching rules are rejected by
+// the same short-circuiting check as Eval and carry a nil Checks (Matched,
+// Empty and the per-tuple Matched list stay exact — proven against
+// AttributeTuple by TestEvalAttributedLazyDifferential). Callers needing a
+// non-matching rule's margins re-derive just that rule via
+// AttributeRuleAppend. This is the serving layer's explain path: analysts
+// ask "why was this flagged", which only the firing rules answer.
+//
+// Tuple i's storage lives at fixed buffer offsets (rules/matched at
+// i×nRules, checks at i×perTuple), so the parallel chunks touch disjoint
+// arena regions and nothing synchronizes. See AttributionBuffer for the
+// aliasing/ownership rules.
+func (e *Evaluator) EvalAttributedLazyInto(rel *relation.Relation, buf *AttributionBuffer) *bitset.Set {
 	n := rel.Len()
 	buf.ensure(e, n)
 	nr := len(e.rules)
@@ -330,7 +341,7 @@ func (e *Evaluator) attributeInto(rel *relation.Relation, buf *AttributionBuffer
 			matched := buf.matched[i*nr : i*nr : (i+1)*nr]
 			base := i * buf.perTuple
 			for ri := range e.rules {
-				if lazy && !e.matches(&e.rules[ri], rel, i, wc) {
+				if !e.matches(&e.rules[ri], rel, i, wc) {
 					rules[ri] = RuleAttribution{Rule: ri, Empty: e.rules[ri].empty}
 					continue
 				}
@@ -350,27 +361,6 @@ func (e *Evaluator) attributeInto(rel *relation.Relation, buf *AttributionBuffer
 	return out
 }
 
-// EvalAttributedInto evaluates the relation with full (eager) decision
-// provenance into buf, returning Eval's Φ(I) bitset; buf.Tuples carries the
-// same attributions EvalAttributed would return, at a handful of arena
-// allocations per high-water mark instead of millions per call. See
-// AttributionBuffer for the aliasing/ownership rules.
-func (e *Evaluator) EvalAttributedInto(rel *relation.Relation, buf *AttributionBuffer) *bitset.Set {
-	return e.attributeInto(rel, buf, false)
-}
-
-// EvalAttributedLazyInto is EvalAttributedInto materializing condition-level
-// margins only for rules that fire: non-matching rules are rejected by the
-// same short-circuiting check as Eval and carry a nil Checks (Matched,
-// Empty and the per-tuple Matched list stay exact — proven differentially
-// by TestEvalAttributedLazyDifferential). Callers needing a non-matching
-// rule's margins re-derive just that rule via AttributeRuleAppend. This is the
-// serving layer's explain path: analysts ask "why was this flagged", which
-// only the firing rules answer.
-func (e *Evaluator) EvalAttributedLazyInto(rel *relation.Relation, buf *AttributionBuffer) *bitset.Set {
-	return e.attributeInto(rel, buf, true)
-}
-
 // EvalAttributedLazyIntoUnder is EvalAttributedLazyInto wrapped in an
 // "index.eval_attributed_lazy" span nested under parent.
 func (e *Evaluator) EvalAttributedLazyIntoUnder(parent trace.Span, rel *relation.Relation, buf *AttributionBuffer) *bitset.Set {
@@ -379,18 +369,6 @@ func (e *Evaluator) EvalAttributedLazyIntoUnder(parent trace.Span, rel *relation
 	sp.Int("rows", int64(rel.Len())).Int("rules", int64(len(e.rules))).Int("chunks", int64(e.chunkCount(rel.Len())))
 	sp.End()
 	return out
-}
-
-// EvalAttributed evaluates the relation with full decision provenance: the
-// returned bitset is exactly Eval's Φ(I) (proven differentially), and the
-// attribution slice holds one TupleAttribution per transaction, computed on
-// the same 64-aligned parallel chunks (workers write disjoint slice
-// elements, so no synchronization is needed). Storage is freshly allocated
-// per call; hot paths reuse an AttributionBuffer via EvalAttributedInto.
-func (e *Evaluator) EvalAttributed(rel *relation.Relation) (*bitset.Set, []TupleAttribution) {
-	var buf AttributionBuffer
-	out := e.EvalAttributedInto(rel, &buf)
-	return out, buf.Tuples
 }
 
 // EvalFirstInto returns, per transaction, the index of the first matching

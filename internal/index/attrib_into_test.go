@@ -5,16 +5,64 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/index"
+	"repro/internal/relation"
 	"repro/internal/testutil"
 )
 
-// TestEvalAttributedIntoDifferential proves the buffer-backed eager path is
-// output-identical to EvalAttributed across randomized instances — and, by
-// reusing ONE AttributionBuffer across every seed, that a dirty buffer
-// carrying a previous schema/relation/rule-set's arenas never leaks into the
-// next result.
-func TestEvalAttributedIntoDifferential(t *testing.T) {
+// checkLazy holds a lazy evaluation — union gotSet, attributions in buf — to
+// the eager oracle AttributeTuple: identical union bitset, Matched lists and
+// Matched/Empty flags, identical check breakdowns for every rule that fired,
+// nil Checks (never stale data) for rules that did not, and
+// AttributeRuleAppend re-deriving exactly the oracle's breakdown for those on
+// demand — margins, order and Matched identical — through both a nil and a
+// caller-scratch dst. where prefixes every failure.
+func checkLazy(t *testing.T, ev *index.Evaluator, rel *relation.Relation, gotSet *bitset.Set, buf *index.AttributionBuffer, where string) {
+	t.Helper()
+	if len(buf.Tuples) != rel.Len() {
+		t.Fatalf("%s: %d buffered attributions for %d tuples", where, len(buf.Tuples), rel.Len())
+	}
+	scratch := make([]index.CheckAttribution, 0, ev.MaxRuleChecks())
+	for i := 0; i < rel.Len(); i++ {
+		want, got := ev.AttributeTuple(rel, i), buf.Tuples[i]
+		if gotSet.Has(i) != want.Flagged() {
+			t.Fatalf("%s tuple %d: lazy union has %v, oracle flagged %v", where, i, gotSet.Has(i), want.Flagged())
+		}
+		if fmt.Sprint(got.Matched) != fmt.Sprint(want.Matched) {
+			t.Fatalf("%s tuple %d: lazy matched %v, oracle %v", where, i, got.Matched, want.Matched)
+		}
+		if len(got.Rules) != len(want.Rules) {
+			t.Fatalf("%s tuple %d: %d lazy rules, %d oracle", where, i, len(got.Rules), len(want.Rules))
+		}
+		for ri, er := range want.Rules {
+			lr := got.Rules[ri]
+			if lr.Rule != er.Rule || lr.Matched != er.Matched || lr.Empty != er.Empty {
+				t.Fatalf("%s tuple %d rule %d: lazy %+v, oracle %+v", where, i, ri, lr, er)
+			}
+			if er.Matched {
+				if fmt.Sprint(lr.Checks) != fmt.Sprint(er.Checks) {
+					t.Fatalf("%s tuple %d rule %d checks:\n  lazy: %v\noracle: %v", where, i, ri, lr.Checks, er.Checks)
+				}
+				continue
+			}
+			if lr.Checks != nil {
+				t.Fatalf("%s tuple %d rule %d: non-matched lazy rule carries checks %v", where, i, ri, lr.Checks)
+			}
+			if re := ev.AttributeRuleAppend(ri, rel, i, nil); fmt.Sprint(re) != fmt.Sprint(er) {
+				t.Fatalf("%s tuple %d rule %d: AttributeRuleAppend(nil) %v, oracle %v", where, i, ri, re, er)
+			}
+			if re := ev.AttributeRuleAppend(ri, rel, i, scratch[:0]); fmt.Sprint(re) != fmt.Sprint(er) {
+				t.Fatalf("%s tuple %d rule %d: AttributeRuleAppend %v, oracle %v", where, i, ri, re, er)
+			}
+		}
+	}
+}
+
+// TestEvalAttributedLazyIntoReuse reuses ONE AttributionBuffer across every
+// seed, proving that a dirty buffer carrying a previous schema, relation and
+// rule set's arenas never leaks into the next result.
+func TestEvalAttributedLazyIntoReuse(t *testing.T) {
 	var buf index.AttributionBuffer // deliberately shared across all seeds
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(9000 + seed))
@@ -22,29 +70,13 @@ func TestEvalAttributedIntoDifferential(t *testing.T) {
 		rel := testutil.RandomRelation(rng, s, rng.Intn(250))
 		rs := testutil.RandomRuleSet(rng, s, rng.Intn(8))
 		ev := index.Compile(s, rs)
-
-		wantSet, want := ev.EvalAttributed(rel)
-		gotSet := ev.EvalAttributedInto(rel, &buf)
-		if !gotSet.Equal(wantSet) {
-			t.Fatalf("seed %d: EvalAttributedInto union disagrees with EvalAttributed\nrules:\n%s", seed, rs.Format(s))
-		}
-		if len(buf.Tuples) != len(want) {
-			t.Fatalf("seed %d: %d buffered attributions, want %d", seed, len(buf.Tuples), len(want))
-		}
-		for i := range want {
-			if fmt.Sprint(buf.Tuples[i]) != fmt.Sprint(want[i]) {
-				t.Fatalf("seed %d tuple %d:\n into: %v\neager: %v", seed, i, buf.Tuples[i], want[i])
-			}
-		}
+		gotSet := ev.EvalAttributedLazyInto(rel, &buf)
+		checkLazy(t, ev, rel, gotSet, &buf, fmt.Sprintf("seed %d", seed))
 	}
 }
 
-// TestEvalAttributedLazyDifferential proves the lazy path against the eager
-// one: identical union bitset, identical Matched lists and Matched/Empty
-// flags, byte-identical check breakdowns for every rule that fired, nil
-// Checks (never stale data) for rules that did not — and that
-// AttributeRuleAppend re-derives exactly the eager breakdown for those on
-// demand.
+// TestEvalAttributedLazyDifferential proves the lazy path against the
+// AttributeTuple oracle (see checkLazy) across randomized instances.
 func TestEvalAttributedLazyDifferential(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		seed := seed
@@ -55,48 +87,9 @@ func TestEvalAttributedLazyDifferential(t *testing.T) {
 			rel := testutil.RandomRelation(rng, s, rng.Intn(250))
 			rs := testutil.RandomRuleSet(rng, s, rng.Intn(8))
 			ev := index.Compile(s, rs)
-
-			wantSet, want := ev.EvalAttributed(rel)
 			var buf index.AttributionBuffer
 			gotSet := ev.EvalAttributedLazyInto(rel, &buf)
-			if !gotSet.Equal(wantSet) {
-				t.Fatalf("lazy union disagrees with eager\nrules:\n%s", rs.Format(s))
-			}
-			scratch := make([]index.CheckAttribution, 0, ev.MaxRuleChecks())
-			for i := range want {
-				got := buf.Tuples[i]
-				if fmt.Sprint(got.Matched) != fmt.Sprint(want[i].Matched) {
-					t.Fatalf("tuple %d: lazy matched %v, eager %v", i, got.Matched, want[i].Matched)
-				}
-				if len(got.Rules) != len(want[i].Rules) {
-					t.Fatalf("tuple %d: %d lazy rules, %d eager", i, len(got.Rules), len(want[i].Rules))
-				}
-				for ri := range want[i].Rules {
-					lr, er := got.Rules[ri], want[i].Rules[ri]
-					if lr.Rule != er.Rule || lr.Matched != er.Matched || lr.Empty != er.Empty {
-						t.Fatalf("tuple %d rule %d: lazy %+v, eager %+v", i, ri, lr, er)
-					}
-					if er.Matched {
-						// Fired rules carry the full breakdown, byte-identical.
-						if fmt.Sprint(lr.Checks) != fmt.Sprint(er.Checks) {
-							t.Fatalf("tuple %d rule %d checks:\n lazy: %v\neager: %v", i, ri, lr.Checks, er.Checks)
-						}
-						continue
-					}
-					if lr.Checks != nil {
-						t.Fatalf("tuple %d rule %d: non-matched lazy rule carries checks %v", i, ri, lr.Checks)
-					}
-					// On-demand re-derivation reproduces the eager breakdown —
-					// margins, order and Matched identical — through both a nil
-					// and a caller-scratch dst.
-					if re := ev.AttributeRuleAppend(ri, rel, i, nil); fmt.Sprint(re) != fmt.Sprint(er) {
-						t.Fatalf("tuple %d rule %d: AttributeRuleAppend(nil) %v, eager %v", i, ri, re, er)
-					}
-					if re := ev.AttributeRuleAppend(ri, rel, i, scratch[:0]); fmt.Sprint(re) != fmt.Sprint(er) {
-						t.Fatalf("tuple %d rule %d: AttributeRuleAppend %v, eager %v", i, ri, re, er)
-					}
-				}
-			}
+			checkLazy(t, ev, rel, gotSet, &buf, rs.Format(s))
 		})
 	}
 }
@@ -127,7 +120,8 @@ func TestEvalFirstIntoDifferential(t *testing.T) {
 
 // TestAttributionBufferMutationReuse drives the shared buffer through
 // in-place evaluator mutations (Add/Replace/Remove change the per-tuple
-// check geometry) and checks every evaluation against the eager path.
+// check geometry) and checks every evaluation against the AttributeTuple
+// oracle.
 func TestAttributionBufferMutationReuse(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(15000 + seed))
@@ -152,13 +146,8 @@ func TestAttributionBufferMutationReuse(t *testing.T) {
 				rs.Remove(i)
 				ev.Remove(i)
 			}
-			_, want := ev.EvalAttributed(rel)
-			ev.EvalAttributedInto(rel, &buf)
-			for i := range want {
-				if fmt.Sprint(buf.Tuples[i]) != fmt.Sprint(want[i]) {
-					t.Fatalf("seed %d step %d tuple %d: buffered attribution diverged after mutation", seed, step, i)
-				}
-			}
+			gotSet := ev.EvalAttributedLazyInto(rel, &buf)
+			checkLazy(t, ev, rel, gotSet, &buf, fmt.Sprintf("seed %d step %d", seed, step))
 		}
 	}
 }
@@ -177,12 +166,9 @@ func TestAttributionIntoAllocs(t *testing.T) {
 	ev.Workers = 2
 
 	var buf index.AttributionBuffer
-	ev.EvalAttributedInto(rel, &buf) // warm the arenas
+	ev.EvalAttributedLazyInto(rel, &buf) // warm the arenas
 	// Budget: bitset.New (2 allocs) + a closure per parallel chunk + the
 	// WaitGroup-spawned goroutines. 16 is a loose roof far under "per tuple".
-	if n := testing.AllocsPerRun(20, func() { ev.EvalAttributedInto(rel, &buf) }); n > 16 {
-		t.Fatalf("EvalAttributedInto steady state = %.0f allocs/run, want <= 16", n)
-	}
 	if n := testing.AllocsPerRun(20, func() { ev.EvalAttributedLazyInto(rel, &buf) }); n > 16 {
 		t.Fatalf("EvalAttributedLazyInto steady state = %.0f allocs/run, want <= 16", n)
 	}
@@ -196,7 +182,7 @@ func TestAttributionIntoAllocs(t *testing.T) {
 	}
 }
 
-// FuzzEvalAttributedLazy drives the lazy-vs-eager equivalence from the
+// FuzzEvalAttributedLazy drives the lazy-vs-oracle equivalence from the
 // fuzzer: every int64 seed is a complete random instance.
 func FuzzEvalAttributedLazy(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 1234, -99} {
@@ -208,30 +194,8 @@ func FuzzEvalAttributedLazy(f *testing.F) {
 		rel := testutil.RandomRelation(rng, s, rng.Intn(200))
 		rs := testutil.RandomRuleSet(rng, s, rng.Intn(6))
 		ev := index.Compile(s, rs)
-		wantSet, want := ev.EvalAttributed(rel)
 		var buf index.AttributionBuffer
-		if got := ev.EvalAttributedLazyInto(rel, &buf); !got.Equal(wantSet) {
-			t.Fatalf("lazy union diverged for seed %d", seed)
-		}
-		for i := range want {
-			got := buf.Tuples[i]
-			if fmt.Sprint(got.Matched) != fmt.Sprint(want[i].Matched) {
-				t.Fatalf("seed %d tuple %d: matched diverged", seed, i)
-			}
-			for ri := range want[i].Rules {
-				lr, er := got.Rules[ri], want[i].Rules[ri]
-				if lr.Matched != er.Matched || lr.Empty != er.Empty {
-					t.Fatalf("seed %d tuple %d rule %d: flags diverged", seed, i, ri)
-				}
-				if er.Matched && fmt.Sprint(lr.Checks) != fmt.Sprint(er.Checks) {
-					t.Fatalf("seed %d tuple %d rule %d: checks diverged", seed, i, ri)
-				}
-				if !er.Matched {
-					if re := ev.AttributeRuleAppend(ri, rel, i, nil); fmt.Sprint(re) != fmt.Sprint(er) {
-						t.Fatalf("seed %d tuple %d rule %d: AttributeRuleAppend diverged", seed, i, ri)
-					}
-				}
-			}
-		}
+		gotSet := ev.EvalAttributedLazyInto(rel, &buf)
+		checkLazy(t, ev, rel, gotSet, &buf, fmt.Sprintf("seed %d", seed))
 	})
 }

@@ -13,11 +13,13 @@ import (
 )
 
 // TestEvalAttributedDifferential is the equivalence proof of the attribution
-// path: across randomized schemas, relations and rule sets,
-// EvalAttributed's union bitset must equal Eval's (and Set.Eval's), the
-// per-tuple matched-rule lists must equal the per-rule capture bitsets of
-// EvalPerRule, EvalFirstInto must report the lowest matching rule index, and
-// every check must satisfy the margin invariant: Pass ⇔ Margin >= 0.
+// oracle: across randomized schemas, relations and rule sets, the lazy
+// batch path's union bitset must equal Set.Eval's, AttributeTuple's
+// matched-rule lists must equal the per-rule capture bitsets of EvalPerRule,
+// EvalFirstInto must report the lowest matching rule index, and every check
+// must satisfy the margin invariant: Pass ⇔ Margin >= 0 and agree with the
+// raw condition. TestEvalAttributedLazyDifferential then holds the lazy
+// path to AttributeTuple.
 func TestEvalAttributedDifferential(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		seed := seed
@@ -30,12 +32,9 @@ func TestEvalAttributedDifferential(t *testing.T) {
 
 			ev := index.Compile(s, rs)
 			want := rs.Eval(rel)
-			got, attrs := ev.EvalAttributed(rel)
-			if !got.Equal(want) {
-				t.Fatalf("EvalAttributed union disagrees with Set.Eval\nrules:\n%s", rs.Format(s))
-			}
-			if len(attrs) != rel.Len() {
-				t.Fatalf("EvalAttributed returned %d attributions for %d tuples", len(attrs), rel.Len())
+			var buf index.AttributionBuffer
+			if got := ev.EvalAttributedLazyInto(rel, &buf); !got.Equal(want) {
+				t.Fatalf("EvalAttributedLazyInto union disagrees with Set.Eval\nrules:\n%s", rs.Format(s))
 			}
 			per := ev.EvalPerRule(rel)
 			first := ev.EvalFirstInto(rel, nil)
@@ -57,7 +56,7 @@ func TestEvalAttributedDifferential(t *testing.T) {
 				if first[i] != wantFirst {
 					t.Fatalf("tuple %d: EvalFirstInto = %d, want %d", i, first[i], wantFirst)
 				}
-				a := attrs[i]
+				a := ev.AttributeTuple(rel, i)
 				if len(a.Matched) != len(wantMatched) {
 					t.Fatalf("tuple %d: matched %v, want %v", i, a.Matched, wantMatched)
 				}
@@ -118,23 +117,6 @@ func TestEvalAttributedDifferential(t *testing.T) {
 	}
 }
 
-// TestAttributeTupleAgreesWithEvalAttributed pins the point-query form to
-// the batch form.
-func TestAttributeTupleAgreesWithEvalAttributed(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	s := testutil.RandomSchema(rng)
-	rel := testutil.RandomRelation(rng, s, 64)
-	rs := testutil.RandomRuleSet(rng, s, 5)
-	ev := index.Compile(s, rs)
-	_, attrs := ev.EvalAttributed(rel)
-	for i := 0; i < rel.Len(); i++ {
-		got := ev.AttributeTuple(rel, i)
-		if fmt.Sprint(got) != fmt.Sprint(attrs[i]) {
-			t.Fatalf("tuple %d: AttributeTuple %v != EvalAttributed %v", i, got, attrs[i])
-		}
-	}
-}
-
 // TestAttributionNumericMargins pins the exact numeric margin arithmetic on
 // a hand-built instance (the randomized test only checks the sign
 // invariant).
@@ -151,7 +133,6 @@ func TestAttributionNumericMargins(t *testing.T) {
 	}
 	rs := rules.NewSet(rules.MustParse(s, "a in [10,20]"))
 	ev := index.Compile(s, rs)
-	_, attrs := ev.EvalAttributed(rel)
 	want := []struct {
 		pass   bool
 		margin int64
@@ -163,7 +144,7 @@ func TestAttributionNumericMargins(t *testing.T) {
 		{false, -10},
 	}
 	for i, w := range want {
-		c := attrs[i].Rules[0].Checks[0]
+		c := ev.AttributeTuple(rel, i).Rules[0].Checks[0]
 		if c.Pass != w.pass || c.Margin != w.margin {
 			t.Fatalf("tuple %d: got pass=%v margin=%d, want pass=%v margin=%d",
 				i, c.Pass, c.Margin, w.pass, w.margin)

@@ -233,9 +233,6 @@ func CompileUnder(parent trace.Span, schema *relation.Schema, rs *rules.Set) *Ev
 	return e
 }
 
-// RuleCount returns the number of compiled rules.
-func (e *Evaluator) RuleCount() int { return len(e.rules) }
-
 // Add compiles rule r and appends it, returning its index — the mirror of
 // rules.Set.Add for callers maintaining the evaluator incrementally.
 func (e *Evaluator) Add(r *rules.Rule) int {
@@ -384,8 +381,8 @@ func (e *Evaluator) EvalRule(ri int, rel *relation.Relation) *bitset.Set {
 }
 
 // EvalPerRule returns one capture bitset per compiled rule, computed in a
-// single chunk-parallel pass over the relation (cheaper than RuleCount
-// separate EvalRule scans: each tuple is loaded once and tested against
+// single chunk-parallel pass over the relation (cheaper than one EvalRule
+// scan per rule: each tuple is loaded once and tested against
 // every rule while hot). Chunks are 64-aligned, so workers write disjoint
 // words of every per-rule bitset.
 func (e *Evaluator) EvalPerRule(rel *relation.Relation) []*bitset.Set {

@@ -65,8 +65,8 @@ func TestEvalTrivialRule(t *testing.T) {
 	if got := e.Eval(rel).Count(); got != rel.Len() {
 		t.Errorf("trivial rule captured %d of %d", got, rel.Len())
 	}
-	if e.RuleCount() != 1 {
-		t.Errorf("RuleCount = %d", e.RuleCount())
+	if len(e.rules) != 1 {
+		t.Errorf("compiled %d rules, want 1", len(e.rules))
 	}
 }
 

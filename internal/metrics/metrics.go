@@ -70,38 +70,12 @@ func (c Confusion) BalancedErrorPct() float64 {
 	return (c.MissedFraudPct() + c.FalseAlarmPct()) / 2
 }
 
-// RawErrorPct is the unweighted percentage of misclassified transactions.
-func (c Confusion) RawErrorPct() float64 {
-	total := c.TP + c.FP + c.FN + c.TN
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(c.FN+c.FP) / float64(total)
-}
-
 // Precision is TP / (TP + FP), in [0, 1]; 1 when nothing was predicted.
 func (c Confusion) Precision() float64 {
 	if c.TP+c.FP == 0 {
 		return 1
 	}
 	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall is TP / (TP + FN), in [0, 1]; 1 when there are no frauds.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 1
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 is the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }
 
 // Add accumulates another confusion matrix into c.

@@ -52,35 +52,22 @@ func TestPercentages(t *testing.T) {
 	if got := c.BalancedErrorPct(); math.Abs(got-wantBal) > 1e-9 {
 		t.Errorf("BalancedErrorPct = %v, want %v", got, wantBal)
 	}
-	if got := c.RawErrorPct(); math.Abs(got-20) > 1e-9 {
-		t.Errorf("RawErrorPct = %v, want 20", got)
-	}
 }
 
-func TestPrecisionRecallF1(t *testing.T) {
+func TestPrecision(t *testing.T) {
 	c := Confusion{TP: 2, FP: 1, FN: 1, TN: 6}
 	if got := c.Precision(); math.Abs(got-2.0/3) > 1e-9 {
 		t.Errorf("Precision = %v", got)
-	}
-	if got := c.Recall(); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("Recall = %v", got)
-	}
-	if got := c.F1(); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("F1 = %v", got)
 	}
 }
 
 func TestDegenerateCases(t *testing.T) {
 	var c Confusion
-	if c.MissedFraudPct() != 0 || c.FalseAlarmPct() != 0 || c.RawErrorPct() != 0 {
+	if c.MissedFraudPct() != 0 || c.FalseAlarmPct() != 0 {
 		t.Error("empty confusion should be all-zero percentages")
 	}
-	if c.Precision() != 1 || c.Recall() != 1 {
-		t.Error("empty confusion precision/recall should be 1")
-	}
-	zero := Confusion{FN: 1, FP: 1}
-	if zero.F1() != 0 {
-		t.Error("F1 of all-wrong should be 0")
+	if c.Precision() != 1 {
+		t.Error("empty confusion precision should be 1")
 	}
 }
 

@@ -288,25 +288,3 @@ func (o *Ontology) CoverExcluding(under, exclude Concept) []Concept {
 	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
 	return cover
 }
-
-// Ancestors returns all concepts that contain c (excluding c itself),
-// ordered by increasing BFS distance from c.
-func (o *Ontology) Ancestors(c Concept) []Concept {
-	var out []Concept
-	seen := map[Concept]bool{c: true}
-	frontier := []Concept{c}
-	for len(frontier) > 0 {
-		var next []Concept
-		for _, x := range frontier {
-			for _, p := range o.nodes[x].parents {
-				if !seen[p] {
-					seen[p] = true
-					out = append(out, p)
-					next = append(next, p)
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
-}

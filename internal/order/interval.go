@@ -86,9 +86,6 @@ func (iv Interval) Cover(other Interval) Interval {
 	return Interval{Lo: lo, Hi: hi}
 }
 
-// CoverPoint returns the smallest interval containing both iv and v.
-func (iv Interval) CoverPoint(v Value) Interval { return iv.Cover(Point(v)) }
-
 // ExtensionDistance implements the interval distance of Equation 1: the sum
 // of sizes of the smallest interval(s) that must be added to iv (the rule's
 // condition) so that it contains target (the representative tuple's value

@@ -42,17 +42,6 @@ func (d Domain) Size() int64 { return d.Max - d.Min + 1 }
 // Full returns the interval covering the entire domain (the ⊤ element).
 func (d Domain) Full() Interval { return Interval{Lo: d.Min, Hi: d.Max} }
 
-// Clamp returns v restricted to the domain bounds.
-func (d Domain) Clamp(v Value) Value {
-	if v < d.Min {
-		return d.Min
-	}
-	if v > d.Max {
-		return d.Max
-	}
-	return v
-}
-
 // Prev returns the predecessor of v in the domain and whether one exists.
 // It is used by the rule specialization algorithm (Algorithm 2) to split a
 // condition A ∈ [b, e] into [b, prev(v)] and [succ(v), e].

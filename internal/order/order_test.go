@@ -39,17 +39,6 @@ func TestDomainSizeAndFull(t *testing.T) {
 	}
 }
 
-func TestDomainClamp(t *testing.T) {
-	d := NewDomain(0, 100)
-	for _, tc := range []struct{ in, want Value }{
-		{-5, 0}, {0, 0}, {50, 50}, {100, 100}, {101, 100},
-	} {
-		if got := d.Clamp(tc.in); got != tc.want {
-			t.Errorf("Clamp(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestDomainPrevSucc(t *testing.T) {
 	d := NewDomain(0, 10)
 	if _, ok := d.Prev(0); ok {
@@ -146,8 +135,8 @@ func TestIntervalCover(t *testing.T) {
 			t.Errorf("%v.Cover(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
-	if got := (Interval{2, 4}).CoverPoint(9); got != (Interval{2, 9}) {
-		t.Errorf("CoverPoint = %v, want [2,9]", got)
+	if got := (Interval{2, 4}).Cover(Point(9)); got != (Interval{2, 9}) {
+		t.Errorf("Cover(Point(9)) = %v, want [2,9]", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ontology"
-	"repro/internal/order"
 )
 
 // Label is the ground-truth annotation of a transaction.
@@ -206,12 +205,6 @@ func (r *Relation) WindowColumns() any {
 func (r *Relation) SetWindowColumns(v any) {
 	r.winCols.Store(v)
 }
-
-// NumericValue returns the value of numeric attribute a in tuple t.
-func NumericValue(t Tuple, a int) order.Value { return t[a] }
-
-// ConceptValue returns the value of categorical attribute a in tuple t.
-func ConceptValue(t Tuple, a int) ontology.Concept { return ontology.Concept(t[a]) }
 
 // FormatTuple renders a tuple for display, attribute by attribute.
 func (r *Relation) FormatTuple(i int) string {

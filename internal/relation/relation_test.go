@@ -245,14 +245,3 @@ func TestTupleClone(t *testing.T) {
 		t.Error("Clone shares storage")
 	}
 }
-
-func TestValueAccessors(t *testing.T) {
-	s := testSchema(t)
-	tp := Tuple{60, 42, leaf(t, s, 2, "Gas Station A")}
-	if NumericValue(tp, 1) != 42 {
-		t.Error("NumericValue wrong")
-	}
-	if ConceptValue(tp, 2) != ontology.Concept(leaf(t, s, 2, "Gas Station A")) {
-		t.Error("ConceptValue wrong")
-	}
-}

@@ -136,9 +136,6 @@ func New(cfg Config) (*Replicator, error) {
 	return &Replicator{cfg: cfg, log: cfg.Logger}, nil
 }
 
-// Applied returns the last sequence number handed to the Target.
-func (r *Replicator) Applied() uint64 { return r.applied }
-
 // Run blocks replicating from the leader until ctx is cancelled (returns
 // nil) or an unrecoverable error occurs: ErrContinuityLost, or a Target
 // rejection (corrupt or incompatible leader state). Transport errors are

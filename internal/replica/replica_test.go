@@ -145,7 +145,7 @@ func run(t *testing.T, leader *fakeLeader, target Target, stopAt uint64, logger 
 	}
 	err = rep.Run(ctx)
 	if ctx.Err() == context.DeadlineExceeded {
-		t.Fatalf("replicator never reached seq %d (applied %d)", stopAt, rep.Applied())
+		t.Fatalf("replicator never reached seq %d (applied %d)", stopAt, rep.applied)
 	}
 	return reconnects, err
 }

@@ -4,10 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/ontology"
 	"repro/internal/order"
 	"repro/internal/relation"
 )
+
+// elems lists the members of s in increasing order.
+func elems(s *bitset.Set) []int {
+	var out []int
+	s.ForEach(func(i int) { out = append(out, i) })
+	return out
+}
 
 // fixture builds the paper's Figure 1 / Figure 2 setting: the type and
 // location ontologies, the four-attribute schema, the existing rule set and
@@ -92,11 +100,11 @@ func newFixture(t *testing.T) *fixture {
 func TestPaperExample22(t *testing.T) {
 	f := newFixture(t)
 	r1 := f.rules.Rule(0).Captures(f.rel)
-	if got := r1.Elems(nil); len(got) != 1 || got[0] != 2 {
+	if got := elems(r1); len(got) != 1 || got[0] != 2 {
 		t.Errorf("rule 1 captures %v, want [2] (the 3rd tuple)", got)
 	}
 	r3 := f.rules.Rule(2).Captures(f.rel)
-	if got := r3.Elems(nil); len(got) != 1 || got[0] != 9 {
+	if got := elems(r3); len(got) != 1 || got[0] != 9 {
 		t.Errorf("rule 3 captures %v, want [9] (the 10th tuple)", got)
 	}
 	// No fraudulent transaction is captured by the existing rules.

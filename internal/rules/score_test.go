@@ -45,7 +45,7 @@ func TestMinScoreAccessors(t *testing.T) {
 func TestScoreThresholdGatesCapture(t *testing.T) {
 	s, rel := scoredFixture(t)
 	r := MustParse(s, "amount >= $100").SetMinScore(600)
-	got := r.Captures(rel).Elems(nil)
+	got := elems(r.Captures(rel))
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("captures = %v, want [2 3] (scores 800 and 1000)", got)
 	}
@@ -69,7 +69,7 @@ func TestScoreThresholdInSetEval(t *testing.T) {
 	)
 	got := rs.Eval(rel)
 	if got.Has(0) || !got.Has(1) || !got.Has(2) || !got.Has(3) {
-		t.Errorf("Eval = %v", got.Elems(nil))
+		t.Errorf("Eval = %v", elems(got))
 	}
 	if idx := rs.CapturingRulesAt(rel, 1); len(idx) != 1 || idx[0] != 1 {
 		t.Errorf("CapturingRulesAt(1) = %v, want [1]", idx)

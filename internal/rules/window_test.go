@@ -101,7 +101,7 @@ func TestWindowedEval(t *testing.T) {
 	rs := NewSet(r)
 
 	capt := r.Captures(rel)
-	if got := capt.Elems(nil); len(got) != 1 || got[0] != rel.Len()-1 {
+	if got := elems(capt); len(got) != 1 || got[0] != rel.Len()-1 {
 		t.Fatalf("captures %v, want only the burst's last tuple (%d)", got, rel.Len()-1)
 	}
 	if !r.MatchesAt(rel, rel.Len()-1) {
@@ -112,7 +112,7 @@ func TestWindowedEval(t *testing.T) {
 	}
 	ev := rs.Eval(rel)
 	if !ev.Equal(capt) {
-		t.Errorf("Set.Eval disagrees with Rule.Captures: %v vs %v", ev.Elems(nil), capt.Elems(nil))
+		t.Errorf("Set.Eval disagrees with Rule.Captures: %v vs %v", elems(ev), elems(capt))
 	}
 	if got := rs.CapturingRulesAt(rel, rel.Len()-1); len(got) != 1 || got[0] != 0 {
 		t.Errorf("CapturingRulesAt = %v, want [0]", got)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/alert"
+	"repro/internal/telemetry"
 )
 
 // alertTestConfig builds a server config with a deterministic alert setup:
@@ -291,5 +292,81 @@ func TestAlertWebhookConfigValidate(t *testing.T) {
 	}
 	if err := (Config{Schema: schema, AlertWebhook: "http://127.0.0.1:9093/hook"}).Validate(); err != nil {
 		t.Errorf("Validate rejected a good webhook URL: %v", err)
+	}
+}
+
+// metricFamilies returns the metric families a /metrics page declares (its
+// "# TYPE" lines) and the set of those with a "# HELP" line.
+func metricFamilies(page string) (families []string, helped map[string]bool) {
+	helped = map[string]bool{}
+	for _, line := range strings.Split(page, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "#" {
+			continue
+		}
+		switch f[1] {
+		case "TYPE":
+			families = append(families, f[2])
+		case "HELP":
+			helped[f[2]] = true
+		}
+	}
+	return families, helped
+}
+
+// TestMetricsDocumentedAndAlertable: every metric family a durable windowed
+// leader or its follower registers carries a # HELP line, and every default
+// alert samples a family one of them registers (or a per-rule health
+// signal), so no default alert can watch a series that does not exist.
+func TestMetricsDocumentedAndAlertable(t *testing.T) {
+	cfg := velocityDurableConfig(t, t.TempDir())
+	_, lts := newTestServer(t, cfg)
+	fb := vtx(100, 1, 50)
+	fb["label"] = "fraud"
+	if code, body := postJSON(t, lts.URL+"/v1/feedback", map[string]any{"transactions": []any{fb}}, nil); code != http.StatusOK {
+		t.Fatalf("feedback: %d %s", code, body)
+	}
+	if code, body := postJSON(t, lts.URL+"/v1/score", vtx(101, 1, 50), nil); code != http.StatusOK {
+		t.Fatalf("score: %d %s", code, body)
+	}
+	follower, fts := startFollower(t, Config{Schema: cfg.Schema}, lts.URL)
+	waitFor(t, "follower readiness", func() bool {
+		return getJSON(t, fts+"/readyz", nil) == http.StatusOK && follower.Version() >= 1
+	})
+	goruntime.GC() // so the GC pause histogram has an observation to report
+
+	registered := map[string]bool{}
+	for _, base := range []string{lts.URL, fts} {
+		page := getMetrics(t, base)
+		families, helped := metricFamilies(page)
+		if len(families) == 0 {
+			t.Fatalf("%s/metrics declares no families", base)
+		}
+		for _, f := range families {
+			registered[f] = true
+			if !helped[f] {
+				t.Errorf("%s/metrics: family %s has no # HELP line", base, f)
+			}
+		}
+		if v, ok := telemetry.ScrapeValue(page, "rudolf_go_gc_pause_seconds_count"); !ok || v == 0 {
+			t.Errorf("%s/metrics: rudolf_go_gc_pause_seconds_count = %v, %v after a GC, want > 0", base, v, ok)
+		}
+	}
+	for _, r := range alert.DefaultRules() {
+		sig := r.Expr.Signal
+		if r.Expr.Fn == "max" {
+			switch sig {
+			case alert.SignalRuleFPShare, alert.SignalRuleDrift, alert.SignalRuleStaleness:
+			default:
+				t.Errorf("alert %s: max(%s) is not a rule-health signal", r.Name, sig)
+			}
+			continue
+		}
+		if i := strings.IndexByte(sig, '{'); i >= 0 {
+			sig = sig[:i]
+		}
+		if !registered[sig] {
+			t.Errorf("alert %s samples %s, which neither a leader nor a follower registers", r.Name, sig)
+		}
 	}
 }

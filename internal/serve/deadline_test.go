@@ -233,7 +233,7 @@ func TestFeedbackQueuedBehindRefineGivesUp(t *testing.T) {
 		func() bool { return runtime.NumGoroutine() <= goroutines })
 
 	finishRefine()
-	if n, v := s.FeedbackLen(), s.Version(); n != 1 || v != 2 {
+	if n, v := s.feedbackLen(), s.Version(); n != 1 || v != 2 {
 		t.Fatalf("after the queued feedback gave up: %d feedback tx, version %d; want 1 and the refine's 2", n, v)
 	}
 }

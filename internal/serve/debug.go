@@ -30,48 +30,29 @@ type runtimeCollector struct {
 	gcPause     *telemetry.Histogram
 
 	mu        sync.Mutex
-	samples   []metrics.Sample
-	pauseIdx  int      // index of the GC pause histogram sample; -1 if unsupported
-	lastPause []uint64 // previous cumulative pause bucket counts
+	samples   []metrics.Sample // pauseSample is the GC pause histogram
+	lastPause []uint64         // previous cumulative pause bucket counts
 }
 
-// runtime/metrics names sampled by the collector. The GC pause histogram
-// has two candidate names across Go releases; the first one the runtime
-// recognizes wins.
-var runtimePauseNames = []string{
-	"/sched/pauses/total/gc:seconds", // Go 1.22+
-	"/gc/pauses:seconds",             // older name, kept as a fallback
-}
+// pauseSample is the index of the GC pause histogram in
+// runtimeCollector.samples.
+const pauseSample = 4
 
 func newRuntimeCollector(r *telemetry.Registry) *runtimeCollector {
-	rc := &runtimeCollector{
+	return &runtimeCollector{
 		goroutines:  r.Gauge("rudolf_go_goroutines"),
 		heapBytes:   r.Gauge("rudolf_go_heap_bytes"),
 		heapObjects: r.Gauge("rudolf_go_heap_objects"),
 		gcCycles:    r.Gauge("rudolf_go_gc_cycles"),
 		gcPause:     r.Histogram("rudolf_go_gc_pause_seconds", telemetry.StageBuckets),
-		pauseIdx:    -1,
+		samples: []metrics.Sample{
+			{Name: "/sched/goroutines:goroutines"},
+			{Name: "/memory/classes/heap/objects:bytes"},
+			{Name: "/gc/heap/objects:objects"},
+			{Name: "/gc/cycles/total:gc-cycles"},
+			pauseSample: {Name: "/sched/pauses/total/gc:seconds"},
+		},
 	}
-	rc.samples = []metrics.Sample{
-		{Name: "/sched/goroutines:goroutines"},
-		{Name: "/memory/classes/heap/objects:bytes"},
-		{Name: "/gc/heap/objects:objects"},
-		{Name: "/gc/cycles/total:gc-cycles"},
-	}
-	// Probe the pause-histogram candidates once; keep the first supported.
-	probe := make([]metrics.Sample, len(runtimePauseNames))
-	for i, n := range runtimePauseNames {
-		probe[i].Name = n
-	}
-	metrics.Read(probe)
-	for _, p := range probe {
-		if p.Value.Kind() == metrics.KindFloat64Histogram {
-			rc.pauseIdx = len(rc.samples)
-			rc.samples = append(rc.samples, metrics.Sample{Name: p.Name})
-			break
-		}
-	}
-	return rc
 }
 
 // refresh re-samples the runtime and updates the telemetry series. GC pause
@@ -98,13 +79,10 @@ func (rc *runtimeCollector) refresh() {
 			rc.gcCycles.Set(v)
 		}
 	}
-	if rc.pauseIdx < 0 {
+	if rc.samples[pauseSample].Value.Kind() != metrics.KindFloat64Histogram {
 		return
 	}
-	h := rc.samples[rc.pauseIdx].Value.Float64Histogram()
-	if h == nil {
-		return
-	}
+	h := rc.samples[pauseSample].Value.Float64Histogram()
 	if len(rc.lastPause) != len(h.Counts) {
 		rc.lastPause = make([]uint64, len(h.Counts))
 	}

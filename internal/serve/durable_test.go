@@ -72,7 +72,7 @@ func TestDurableRestart(t *testing.T) {
 	if code, body := postJSON(t, ts.URL+"/v1/score", tx(150, 23, 10), nil); code != http.StatusOK {
 		t.Fatalf("POST /v1/score = %d: %s", code, body)
 	}
-	wantVersion, wantFeedback := s.Version(), s.FeedbackLen()
+	wantVersion, wantFeedback := s.Version(), s.feedbackLen()
 	if wantVersion != 2 || wantFeedback != 3 {
 		t.Fatalf("pre-restart state = version %d, feedback %d; want 2, 3", wantVersion, wantFeedback)
 	}
@@ -95,8 +95,8 @@ func TestDurableRestart(t *testing.T) {
 	if s2.Version() != wantVersion {
 		t.Fatalf("restored version = %d, want %d", s2.Version(), wantVersion)
 	}
-	if s2.FeedbackLen() != wantFeedback {
-		t.Fatalf("restored feedback = %d, want %d", s2.FeedbackLen(), wantFeedback)
+	if s2.feedbackLen() != wantFeedback {
+		t.Fatalf("restored feedback = %d, want %d", s2.feedbackLen(), wantFeedback)
 	}
 	if s2.Rules().Len() != wantRules {
 		t.Fatalf("restored rules = %d, want %d (Config.Rules must not win)", s2.Rules().Len(), wantRules)
@@ -134,7 +134,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if code, body := postJSON(t, ts.URL+"/v1/score", tx(500, 1, 9), nil); code != http.StatusOK {
 		t.Fatalf("score = %d: %s", code, body)
 	}
-	wantVersion, wantFeedback := s.Version(), s.FeedbackLen()
+	wantVersion, wantFeedback := s.Version(), s.feedbackLen()
 	ts.Close()
 	// No s.Close(): crash.
 
@@ -143,9 +143,9 @@ func TestDurableCrashRecovery(t *testing.T) {
 		t.Fatalf("recovery boot: %v", err)
 	}
 	defer s2.Close()
-	if s2.Version() != wantVersion || s2.FeedbackLen() != wantFeedback {
+	if s2.Version() != wantVersion || s2.feedbackLen() != wantFeedback {
 		t.Fatalf("recovered state = version %d, feedback %d; want %d, %d",
-			s2.Version(), s2.FeedbackLen(), wantVersion, wantFeedback)
+			s2.Version(), s2.feedbackLen(), wantVersion, wantFeedback)
 	}
 	checkFreshHealth(t, s2, wantVersion)
 }
@@ -185,7 +185,7 @@ func TestDurableSnapshot(t *testing.T) {
 	if code, body := postJSON(t, ts.URL+"/v1/feedback", fb, nil); code != http.StatusOK {
 		t.Fatalf("post-snapshot feedback = %d: %s", code, body)
 	}
-	wantFeedback := s.FeedbackLen()
+	wantFeedback := s.feedbackLen()
 	ts.Close()
 	// Crash without Close.
 
@@ -194,8 +194,8 @@ func TestDurableSnapshot(t *testing.T) {
 		t.Fatalf("recovery boot: %v", err)
 	}
 	defer s2.Close()
-	if s2.FeedbackLen() != wantFeedback {
-		t.Fatalf("recovered feedback = %d, want %d (snapshot + WAL suffix)", s2.FeedbackLen(), wantFeedback)
+	if s2.feedbackLen() != wantFeedback {
+		t.Fatalf("recovered feedback = %d, want %d (snapshot + WAL suffix)", s2.feedbackLen(), wantFeedback)
 	}
 	// Replay after the snapshot must be bounded: far fewer records than the
 	// five feedback batches + initial publish written in total.
@@ -322,7 +322,7 @@ func TestDurableRejectsPrunedWALGap(t *testing.T) {
 			if err == nil {
 				s2.Close()
 				t.Fatalf("New succeeded over a WAL pruned past the only loadable state: version %d, %d feedback tx (26 records were acked)",
-					s2.Version(), s2.FeedbackLen())
+					s2.Version(), s2.feedbackLen())
 			}
 			if msg := err.Error(); !strings.Contains(msg, "WAL starts at seq") || !strings.Contains(msg, "snapshot ends at seq 0") {
 				t.Fatalf("error %q does not name the WAL's first seq and the snapshot's seq", msg)
@@ -416,7 +416,7 @@ func TestCrashRecoveryRace(t *testing.T) {
 		t.Fatalf("recovery boot: %v", err)
 	}
 	defer s2.Close()
-	if got, want := int64(s2.FeedbackLen()), ackedFeedback.Load(); got != want {
+	if got, want := int64(s2.feedbackLen()), ackedFeedback.Load(); got != want {
 		t.Fatalf("recovered feedback = %d, want %d acked batches", got, want)
 	}
 	// Version 1 is the initial publish; every acked POST /v1/rules adds one.

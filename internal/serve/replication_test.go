@@ -122,7 +122,7 @@ func TestFollowerReplicatesLeader(t *testing.T) {
 	if letag != fetag || lver != fver {
 		t.Fatalf("leader %s v%d != follower %s v%d", letag, lver, fetag, fver)
 	}
-	if got, want := follower.FeedbackLen(), leader.FeedbackLen(); got != want {
+	if got, want := follower.feedbackLen(), leader.feedbackLen(); got != want {
 		t.Fatalf("follower feedback = %d, want %d", got, want)
 	}
 

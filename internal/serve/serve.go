@@ -113,7 +113,6 @@ type Server struct {
 	mBatchSize    *telemetry.Histogram
 	mInflight     *telemetry.Gauge
 	mVersion      *telemetry.Gauge
-	mRulesetVer   *telemetry.Gauge
 	mRuleCount    *telemetry.Gauge
 	mSwaps        *telemetry.Counter
 	mRefines      *telemetry.Counter
@@ -337,8 +336,7 @@ func (s *Server) initMetrics() {
 	r.Help("rudolf_score_latency_seconds", "Whole-batch scoring request latency (one observation per /v1/score request).")
 	r.Help("rudolf_score_batch_size", "Transactions per /v1/score request.")
 	r.Help("rudolf_score_inflight", "Scoring requests currently holding a worker slot.")
-	r.Help("rudolf_rules_version", "Published rule-set version (history id).")
-	r.Help("rudolf_ruleset_version", "Published rule-set version (history id); survives restarts via the WAL.")
+	r.Help("rudolf_rules_version", "Published rule-set version (history id); survives restarts via the WAL.")
 	r.Help("rudolf_rules_count", "Rules in the published set.")
 	r.Help("rudolf_rule_swaps_total", "Rule-set publishes (swaps + refines + initial).")
 	r.Help("rudolf_refines_total", "Completed /v1/refine rounds.")
@@ -378,7 +376,6 @@ func (s *Server) initMetrics() {
 	s.mBatchSize = r.Histogram("rudolf_score_batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096})
 	s.mInflight = r.Gauge("rudolf_score_inflight")
 	s.mVersion = r.Gauge("rudolf_rules_version")
-	s.mRulesetVer = r.Gauge("rudolf_ruleset_version")
 	s.mRuleCount = r.Gauge("rudolf_rules_count")
 	s.mSwaps = r.Counter("rudolf_rule_swaps_total")
 	s.mRefines = r.Counter("rudolf_refines_total")
@@ -455,7 +452,6 @@ func (s *Server) published(st *ruleState, seq uint64, comment string) {
 	// (The sampled audit ring survives — its entries carry their version.)
 	s.stats.Reset(st.version, st.set.Len())
 	s.mVersion.Set(int64(st.version))
-	s.mRulesetVer.Set(int64(st.version))
 	s.mRuleCount.Set(int64(st.set.Len()))
 	s.mSwaps.Inc()
 	s.log.Info("rules published", "version", st.version, "rules", st.set.Len(), "seq", seq, "comment", comment)
@@ -485,9 +481,9 @@ func (s *Server) History() *history.Store { return s.hist }
 // Registry returns the server's telemetry registry.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// FeedbackLen returns the number of feedback transactions ingested (live
+// feedbackLen returns the number of feedback transactions ingested (live
 // plus replayed).
-func (s *Server) FeedbackLen() int {
+func (s *Server) feedbackLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.feedback.Len()

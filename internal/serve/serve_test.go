@@ -460,7 +460,7 @@ func TestTimedOutFeedbackDoesNotCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if n, etag, v := s.FeedbackLen(), resp.Header.Get("ETag"), s.Version(); n != 1 || etag != `"2"` || v != 2 {
+	if n, etag, v := s.feedbackLen(), resp.Header.Get("ETag"), s.Version(); n != 1 || etag != `"2"` || v != 2 {
 		t.Fatalf("after a timed-out feedback: %d feedback tx, ETag %s, version %d; want 1, \"2\" (the refine's), 2", n, etag, v)
 	}
 }
@@ -481,7 +481,7 @@ func TestTimedOutPublishDoesNotCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if n, etag, v := s.FeedbackLen(), resp.Header.Get("ETag"), s.Version(); n != 1 || etag != `"2"` || v != 2 {
+	if n, etag, v := s.feedbackLen(), resp.Header.Get("ETag"), s.Version(); n != 1 || etag != `"2"` || v != 2 {
 		t.Fatalf("after a timed-out publish: %d feedback tx, ETag %s, version %d; want 1, \"2\" (the refine's), 2", n, etag, v)
 	}
 	if got := s.Rules().Format(s.schema); strings.Contains(got, "hour <= 6") {

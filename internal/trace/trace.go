@@ -156,9 +156,6 @@ func New(opts Options) *Tracer {
 	return t
 }
 
-// Enabled reports whether the tracer records spans (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // spanData is the mutable state of a live span, pooled to keep the enabled
 // path allocation-light.
 type spanData struct {
@@ -205,9 +202,6 @@ func (t *Tracer) start(name string, parent, track uint64) Span {
 	d.done = false
 	return Span{t: t, d: d}
 }
-
-// Live reports whether the span records anything (false for the zero Span).
-func (s Span) Live() bool { return s.d != nil && !s.d.done }
 
 // Child begins a span nested under s, inheriting its track. On a zero (or
 // ended) Span it returns the zero Span.

@@ -16,12 +16,12 @@
 // # Determinism contract
 //
 // The store never reads a wall clock. Time flows in exclusively through
-// Observe (an event's timestamp) and Advance (an explicit watermark lift),
-// in whole minutes — the unit of the schema's time attribute. The watermark
-// is monotone; an event older than the watermark is clamped to it, so every
-// entry's bucket cursor only moves forward and replaying the same
-// Observe/Advance sequence rebuilds byte-identical aggregate state (the WAL
-// replay path of the serving daemon depends on this).
+// Observe (an event's timestamp), in whole minutes — the unit of the
+// schema's time attribute. The watermark is monotone; an event older than
+// the watermark is clamped to it, so every entry's bucket cursor only moves
+// forward and replaying the same Observe sequence rebuilds byte-identical
+// aggregate state (the WAL replay path of the serving daemon depends on
+// this).
 //
 // # Exact semantics
 //
@@ -182,7 +182,7 @@ type Store struct {
 	specs atomic.Pointer[specSet]
 
 	watermark atomic.Int64 // current time in minutes; monotone
-	hasTime   atomic.Bool  // false until the first Observe/Advance
+	hasTime   atomic.Bool  // false until the first watermark lift
 	entries   atomic.Int64 // live entry count across shards (memory budget)
 
 	// Lifetime evicted-entry counts by cause (observability): expired
@@ -285,9 +285,6 @@ func (s *Store) Watermark() int64 { return s.watermark.Load() }
 // Entries returns the live (spec, key) entry count.
 func (s *Store) Entries() int64 { return s.entries.Load() }
 
-// Evictions returns the lifetime count of evicted entries (all causes).
-func (s *Store) Evictions() int64 { return s.evictExpired.Load() + s.evictLRU.Load() }
-
 // EvictionsByCause splits the lifetime eviction count: expired entries
 // (window aggregated to zero — dropping them never changes a result) vs
 // live entries evicted least-recently-observed-first under the MaxEntries
@@ -314,13 +311,9 @@ func (s *Store) ShardOccupancy() []int {
 	return out
 }
 
-// Advance lifts the watermark to now (in minutes); it never moves backward.
-// Bucket expiry is lazy — entries rotate forward the next time they are
-// observed or read.
-func (s *Store) Advance(now int64) {
-	s.liftWatermark(now)
-}
-
+// liftWatermark lifts the watermark to t (in minutes) and returns the
+// result; it never moves backward. Bucket expiry is lazy — entries rotate
+// forward the next time they are observed or read.
 func (s *Store) liftWatermark(t int64) int64 {
 	for {
 		cur := s.watermark.Load()
@@ -414,11 +407,11 @@ func (s *Store) observeOne(spec int32, st *specState, key, val, wm int64) {
 	sh.mu.Unlock()
 }
 
-// Aggregate returns the current value of spec over key at the store's
+// aggregate returns the current value of spec over key at the store's
 // watermark: the event count, value sum, or distinct-value count in the
 // window. Unknown specs and unseen keys read as zero. Steady-state reads
 // are allocation-free.
-func (s *Store) Aggregate(spec Spec, key int64) int64 {
+func (s *Store) aggregate(spec Spec, key int64) int64 {
 	set := s.specs.Load()
 	si, ok := set.index[spec]
 	if !ok {
@@ -584,28 +577,4 @@ func lessKey(a, b entryKey) bool {
 		return a.spec < b.spec
 	}
 	return a.key < b.key
-}
-
-// EvictIdle drops every entry whose window has fully expired at the current
-// watermark. Such entries already aggregate to zero, so EvictIdle is
-// semantically invisible — the differential tests interleave it freely.
-func (s *Store) EvictIdle() {
-	wm := s.watermark.Load()
-	set := s.specs.Load()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		removed := 0
-		for k, e := range sh.m {
-			st := &set.specs[k.spec]
-			e.rotate(st, bucketOf(wm, st.geo.width))
-			if e.totalCount == 0 {
-				delete(sh.m, k)
-				removed++
-			}
-		}
-		sh.mu.Unlock()
-		s.entries.Add(-int64(removed))
-		s.evictExpired.Add(int64(removed))
-	}
 }

@@ -108,15 +108,15 @@ func compareAll(t *testing.T, st *Store, naive *naiveStore, keys map[int64]bool)
 	t.Helper()
 	for _, sp := range naive.specs {
 		for key := range keys {
-			if got, want := st.Aggregate(sp, key), naive.aggregate(sp, key); got != want {
+			if got, want := st.aggregate(sp, key), naive.aggregate(sp, key); got != want {
 				t.Fatalf("%v(key=%d) at wm %d: store %d, naive %d", sp.Agg, key, naive.wm, got, want)
 			}
 		}
 	}
 }
 
-// TestStoreDifferential drives random Observe/Advance/EvictIdle
-// interleavings and checks every aggregate against the naive recompute
+// TestStoreDifferential drives random interleavings of Observe and bare
+// watermark lifts and checks every aggregate against the naive recompute
 // after each step.
 func TestStoreDifferential(t *testing.T) {
 	specs := testSpecs()
@@ -137,12 +137,10 @@ func TestStoreDifferential(t *testing.T) {
 				st.Observe(tup)
 				naive.observe(tup)
 				keys[key] = true
-			case op < 9: // advance
+			default: // advance
 				now += int64(rng.Intn(30))
-				st.Advance(now)
+				st.liftWatermark(now)
 				naive.lift(now)
-			default:
-				st.EvictIdle() // semantically invisible
 			}
 			compareAll(t, st, naive, keys)
 		}
@@ -172,12 +170,10 @@ func FuzzStoreDifferential(f *testing.F) {
 				st.Observe(tup)
 				naive.observe(tup)
 				keys[key] = true
-			case 2:
+			default:
 				now += a
-				st.Advance(now)
+				st.liftWatermark(now)
 				naive.lift(now)
-			case 3:
-				st.EvictIdle()
 			}
 		}
 		compareAll(t, st, naive, keys)
@@ -208,7 +204,7 @@ func TestConcurrentObserveAggregate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				for _, sp := range specs {
-					st.Aggregate(sp, int64(i%8))
+					st.aggregate(sp, int64(i%8))
 				}
 			}
 		}(w)
@@ -238,7 +234,7 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 		tup[0] = now
 		st.Observe(tup)
 		for _, sp := range specs {
-			if st.Aggregate(sp, 7) < 0 {
+			if st.aggregate(sp, 7) < 0 {
 				t.Fatal("negative aggregate")
 			}
 		}
@@ -260,11 +256,11 @@ func TestEviction(t *testing.T) {
 	if got := st.Entries(); got > 9 {
 		t.Fatalf("entries %d exceed budget 8 by more than one shard slack", got)
 	}
-	if st.Evictions() == 0 {
+	if exp, lru := st.EvictionsByCause(); exp+lru == 0 {
 		t.Fatal("no evictions recorded despite exceeding the budget")
 	}
 	// The newest key survived with its count intact.
-	if got := st.Aggregate(specs[0], 31); got != 1 {
+	if got := st.aggregate(specs[0], 31); got != 1 {
 		t.Fatalf("surviving key aggregate = %d, want 1", got)
 	}
 }
@@ -272,7 +268,7 @@ func TestEviction(t *testing.T) {
 // TestEvictionsByCause splits the eviction counter the way the
 // observability surface reports it: live entries squeezed out by the
 // MaxEntries budget count as LRU, entries whose windows aggregated to zero
-// count as expired, and the two causes always sum to Evictions().
+// count as expired.
 func TestEvictionsByCause(t *testing.T) {
 	specs := []Spec{{Agg: Count, Key: 1, Val: -1, Window: 10}}
 	st := New(Config{TimeAttr: 0, MaxEntries: 8})
@@ -291,26 +287,23 @@ func TestEvictionsByCause(t *testing.T) {
 		t.Fatalf("%d expired evictions from same-minute traffic, want 0 (nothing left any window)", exp)
 	}
 
-	// Advance the watermark far past every window, then sweep: the
-	// surviving entries have aggregated to zero and are evicted as expired.
+	// A new key far past every window: the full budget forces an eviction,
+	// and since every surviving entry has aggregated to zero, the shard
+	// that gives way drops all of its entries as expired, none as LRU.
 	before := st.Entries()
 	if before == 0 {
 		t.Fatal("budget eviction left the store empty")
 	}
 	st.Observe(relation.Tuple{1000, 99, 0})
-	st.EvictIdle()
 	exp, lru2 := st.EvictionsByCause()
-	if exp != before {
-		t.Fatalf("expired evictions = %d, want the %d pre-sweep survivors", exp, before)
+	if exp == 0 {
+		t.Fatal("no expired evictions after every window expired")
 	}
 	if lru2 != lru {
-		t.Fatalf("LRU evictions moved %d -> %d during an idle sweep", lru, lru2)
+		t.Fatalf("LRU evictions moved %d -> %d with only dead entries to drop", lru, lru2)
 	}
-	if st.Entries() != 1 { // only the fresh key remains
-		t.Fatalf("entries = %d after sweep, want 1", st.Entries())
-	}
-	if got, want := st.Evictions(), exp+lru2; got != want {
-		t.Fatalf("Evictions() = %d, want expired+lru = %d", got, want)
+	if got, want := st.Entries(), before-exp+1; got != want {
+		t.Fatalf("entries = %d, want %d (%d survivors - %d expired + 1 fresh)", got, want, before, exp)
 	}
 }
 
@@ -341,7 +334,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Helper()
 		for _, sp := range specs {
 			for key := range keys {
-				if got, want := restored.Aggregate(sp, key), st.Aggregate(sp, key); got != want {
+				if got, want := restored.aggregate(sp, key), st.aggregate(sp, key); got != want {
 					t.Fatalf("%v(key=%d): restored %d, original %d", sp.Agg, key, got, want)
 				}
 			}

@@ -287,7 +287,7 @@ func DatasetClusterer() cluster.Algorithm { return datagen.Clusterer() }
 type Evaluator = index.Evaluator
 
 // Decision-provenance types of the compiled evaluator (see
-// Evaluator.AttributeTuple and Evaluator.EvalAttributed): the per-rule,
+// Evaluator.AttributeTuple and Evaluator.EvalAttributedLazyInto): the per-rule,
 // per-condition breakdown — with signed margins to the decision boundary —
 // that the serving layer's explain mode and cmd/rudolf's -explain flag
 // share. A check passes if and only if its margin is >= 0.
@@ -299,7 +299,7 @@ type (
 	// CheckAttribution is one condition's pass/fail and signed margin.
 	CheckAttribution = index.CheckAttribution
 	// AttributionBuffer is reusable caller-owned storage for the evaluator's
-	// EvalAttributedInto / EvalAttributedLazyInto: flat arenas that make
+	// EvalAttributedLazyInto: flat arenas that make
 	// repeated attribution allocation-free. See the ownership rules on
 	// index.AttributionBuffer (results alias the buffer until the next call).
 	AttributionBuffer = index.AttributionBuffer
