@@ -26,7 +26,9 @@ var interfaceMethods = map[string]bool{
 // TestNoUncalledInternalExports fails on any exported function or method
 // under internal/ whose name no non-test .go file uses outside the
 // function's own declaration. internal/exact (the Thm 4.1-4.6 reductions)
-// and internal/testutil (test generators) are exempt.
+// and internal/testutil (test generators) are exempt. The check is by name,
+// not by resolved type, so a dead method whose name any other identifier
+// shares (Rules, Add, Version, ...) escapes it.
 func TestNoUncalledInternalExports(t *testing.T) {
 	fset := token.NewFileSet()
 	uses := map[string]int{}

@@ -2,7 +2,9 @@ package alert
 
 import (
 	"context"
+	"io"
 	"log/slog"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,7 +164,7 @@ func NewEngine(cfg Config) *Engine {
 		e.now = time.Now
 	}
 	if e.log == nil {
-		e.log = slog.New(slog.DiscardHandler)
+		e.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	if e.interval <= 0 {
 		e.interval = DefaultInterval
@@ -243,13 +245,6 @@ func (e *Engine) SetRules(rules []Rule) int {
 	return e.cfgVersion
 }
 
-// Rules returns the current rule set (a copy).
-func (e *Engine) Rules() []Rule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Rule(nil), e.rules...)
-}
-
 // FiringCount returns the number of currently firing alerts without taking
 // the engine lock (for the /v1/status hot-ish path).
 func (e *Engine) FiringCount() int { return int(e.firing.Load()) }
@@ -268,9 +263,6 @@ func (e *Engine) Run(ctx context.Context) {
 		}
 	}
 }
-
-// Interval returns the evaluation period.
-func (e *Engine) Interval() time.Duration { return e.interval }
 
 // Close stops the webhook sink (if any), flushing nothing: undelivered
 // events are dropped and counted. Safe to call more than once.

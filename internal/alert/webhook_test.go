@@ -2,7 +2,9 @@ package alert
 
 import (
 	"encoding/json"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +16,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-func discardLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
+func discardLogger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+}
 
 // flakySink is a webhook receiver that fails the first failN requests, then
 // accepts everything, recording the delivered payloads.

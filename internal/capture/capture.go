@@ -97,9 +97,6 @@ func (c *Cache) Bound(rel *relation.Relation) bool {
 // Len returns the number of rules tracked.
 func (c *Cache) Len() int { return len(c.bits) }
 
-// Rel returns the bound relation (nil when unbound).
-func (c *Cache) Rel() *relation.Relation { return c.rel }
-
 // Invalidate unbinds the cache; the next Bind rebuilds it from scratch.
 // Callers that mutated the rule set without notifying the cache must call
 // this (Session's mutation helpers do it automatically on drift).

@@ -53,8 +53,8 @@ func NewStore(schema *relation.Schema) *Store {
 // Len returns the number of committed versions.
 func (st *Store) Len() int { return len(st.versions) }
 
-// Version returns the i-th version (0 is the oldest).
-func (st *Store) Version(i int) Version { return st.versions[i] }
+// version returns the i-th version (0 is the oldest).
+func (st *Store) version(i int) Version { return st.versions[i] }
 
 // Latest returns the most recent version; ok is false for an empty store.
 func (st *Store) Latest() (Version, bool) {

@@ -122,7 +122,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.Len() != 2 {
 		t.Fatalf("round trip has %d versions", got.Len())
 	}
-	v2 := got.Version(1)
+	v2 := got.version(1)
 	if v2.Comment != "v2" || len(v2.Changes) != 1 || !v2.Changes[0].Forced || v2.Changes[0].Attr != "time" {
 		t.Errorf("v2 after round trip = %+v", v2)
 	}
@@ -156,7 +156,7 @@ func TestSessionHistoryIntegration(t *testing.T) {
 	if st.Len() != 3 {
 		t.Fatalf("versions = %d", st.Len())
 	}
-	if len(st.Version(1).Changes) == 0 || len(st.Version(2).Changes) == 0 {
+	if len(st.version(1).Changes) == 0 || len(st.version(2).Changes) == 0 {
 		t.Error("refinement phases recorded no changes")
 	}
 	// The final version checks out to the session's current rules.

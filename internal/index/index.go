@@ -402,15 +402,3 @@ func (e *Evaluator) EvalPerRule(rel *relation.Relation) []*bitset.Set {
 	})
 	return out
 }
-
-// Matches reports whether transaction i is captured by any compiled rule
-// (the point-query form of Eval).
-func (e *Evaluator) Matches(rel *relation.Relation, i int) bool {
-	wc := e.winCols(rel)
-	for ri := range e.rules {
-		if e.matches(&e.rules[ri], rel, i, wc) {
-			return true
-		}
-	}
-	return false
-}

@@ -52,9 +52,6 @@ func TestEvalEmptyRule(t *testing.T) {
 	if got := e.Eval(rel).Count(); got != 0 {
 		t.Errorf("empty rule captured %d", got)
 	}
-	if e.Matches(rel, 0) {
-		t.Error("Matches true for empty rule")
-	}
 }
 
 // TestEvalTrivialRule: the trivial rule captures everything.
@@ -70,15 +67,19 @@ func TestEvalTrivialRule(t *testing.T) {
 	}
 }
 
-// TestMatchesPointQuery agrees with the reference per-transaction check.
+// TestMatchesPointQuery: each transaction's first-match attribution agrees
+// with the reference per-transaction check.
 func TestMatchesPointQuery(t *testing.T) {
 	ds := datagen.Generate(datagen.Config{Size: 800, Seed: 9})
 	rs := datagen.InitialRules(ds, 10, 9)
-	e := Compile(ds.Schema, rs)
+	first := Compile(ds.Schema, rs).EvalFirstInto(ds.Rel, nil)
 	for i := 0; i < ds.Rel.Len(); i++ {
-		want := len(rs.CapturingRulesAt(ds.Rel, i)) > 0
-		if got := e.Matches(ds.Rel, i); got != want {
-			t.Fatalf("Matches(%d) = %v, want %v", i, got, want)
+		want := NoRule
+		if capturing := rs.CapturingRulesAt(ds.Rel, i); len(capturing) > 0 {
+			want = int32(capturing[0])
+		}
+		if first[i] != want {
+			t.Fatalf("first match of %d = %d, want %d", i, first[i], want)
 		}
 	}
 }

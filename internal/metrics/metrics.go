@@ -69,20 +69,3 @@ func (c Confusion) FalseAlarmPct() float64 {
 func (c Confusion) BalancedErrorPct() float64 {
 	return (c.MissedFraudPct() + c.FalseAlarmPct()) / 2
 }
-
-// Precision is TP / (TP + FP), in [0, 1]; 1 when nothing was predicted.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 1
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Add accumulates another confusion matrix into c.
-func (c Confusion) Add(other Confusion) Confusion {
-	c.TP += other.TP
-	c.FP += other.FP
-	c.FN += other.FN
-	c.TN += other.TN
-	return c
-}

@@ -54,32 +54,9 @@ func TestPercentages(t *testing.T) {
 	}
 }
 
-func TestPrecision(t *testing.T) {
-	c := Confusion{TP: 2, FP: 1, FN: 1, TN: 6}
-	if got := c.Precision(); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("Precision = %v", got)
-	}
-}
-
 func TestDegenerateCases(t *testing.T) {
 	var c Confusion
 	if c.MissedFraudPct() != 0 || c.FalseAlarmPct() != 0 {
 		t.Error("empty confusion should be all-zero percentages")
-	}
-	if c.Precision() != 1 {
-		t.Error("empty confusion precision should be 1")
-	}
-}
-
-func TestAdd(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, FN: 3, TN: 4}
-	b := Confusion{TP: 10, FP: 20, FN: 30, TN: 40}
-	got := a.Add(b)
-	if got != (Confusion{TP: 11, FP: 22, FN: 33, TN: 44}) {
-		t.Errorf("Add = %+v", got)
-	}
-	// Value semantics: a unchanged.
-	if a.TP != 1 {
-		t.Error("Add mutated the receiver")
 	}
 }

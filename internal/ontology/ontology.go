@@ -83,9 +83,6 @@ func (o *Ontology) MustLookup(name string) Concept {
 	return c
 }
 
-// Parents returns the direct parents of c in the DAG.
-func (o *Ontology) Parents(c Concept) []Concept { return o.nodes[c].parents }
-
 // Children returns the direct children of c in the DAG.
 func (o *Ontology) Children(c Concept) []Concept { return o.nodes[c].children }
 

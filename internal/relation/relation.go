@@ -171,25 +171,6 @@ func (r *Relation) Prefix(n int) *Relation {
 	}
 }
 
-// Slice returns a read-only view of transactions [lo, hi).
-func (r *Relation) Slice(lo, hi int) *Relation {
-	if hi > len(r.tuples) {
-		hi = len(r.tuples)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return &Relation{
-		schema: r.schema,
-		tuples: r.tuples[lo:hi:hi],
-		labels: r.labels[lo:hi:hi],
-		scores: r.scores[lo:hi:hi],
-	}
-}
-
 // WindowColumns returns the cached window-aggregate column set (nil when
 // none has been stored). The value is opaque to this package; the window
 // package defines the concrete *ColumnSet and the index evaluator checks it

@@ -143,7 +143,7 @@ func TestLabelsScoresAndCounts(t *testing.T) {
 	}
 }
 
-func TestPrefixAndSlice(t *testing.T) {
+func TestPrefix(t *testing.T) {
 	s := testSchema(t)
 	r := New(s)
 	loc := leaf(t, s, 2, "Online Store")
@@ -156,19 +156,6 @@ func TestPrefixAndSlice(t *testing.T) {
 	}
 	if got := r.Prefix(99).Len(); got != 10 {
 		t.Errorf("Prefix over-length = %d, want 10", got)
-	}
-	sl := r.Slice(3, 6)
-	if sl.Len() != 3 || sl.Tuple(0)[0] != 3 {
-		t.Errorf("Slice(3,6) wrong")
-	}
-	if got := r.Slice(8, 99).Len(); got != 2 {
-		t.Errorf("Slice clamp = %d, want 2", got)
-	}
-	if got := r.Slice(-2, 2).Len(); got != 2 {
-		t.Errorf("Slice negative lo = %d, want 2", got)
-	}
-	if got := r.Slice(6, 3).Len(); got != 0 {
-		t.Errorf("Slice inverted = %d, want 0", got)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -130,7 +131,7 @@ func New(cfg Config) (*Replicator, error) {
 		cfg.BackoffMax = DefaultBackoffMax
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.DiscardHandler)
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	cfg.LeaderURL = strings.TrimRight(cfg.LeaderURL, "/")
 	return &Replicator{cfg: cfg, log: cfg.Logger}, nil

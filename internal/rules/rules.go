@@ -102,9 +102,6 @@ func NewRule(s *relation.Schema) *Rule {
 	return r
 }
 
-// Arity returns the number of conditions (the schema arity).
-func (r *Rule) Arity() int { return len(r.conds) }
-
 // Cond returns the condition on attribute i.
 func (r *Rule) Cond(i int) Condition { return r.conds[i] }
 

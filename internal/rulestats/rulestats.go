@@ -8,15 +8,21 @@
 // whose fire rate doubled is drifting with the traffic, and a rule that only
 // fires on legitimate transactions is burning analyst review budget.
 //
+// Version model: every published rule-set version gets its own Epoch
+// (Tracker.NewEpoch), which the caller keeps beside the rules it accounts
+// for. The serving layer hangs it off the same immutable per-version state
+// a request loads once and evaluates with, and records the request's fires
+// and feedback into that state's epoch. Counters therefore can never be
+// attributed to the wrong version: there is no second "current version"
+// pointer that a publish could swap between evaluating and recording.
+//
 // Concurrency model: the scoring hot path only touches per-rule atomics
-// (fire counters, last-fired timestamps) and one shared transaction counter
-// — no locks, no allocation. The tracker's epoch (one per published rule-set
-// version) hangs off an atomic pointer; Reset swaps in a fresh epoch, so a
-// publish never blocks in-flight scoring accounting and counters can never
-// be attributed to the wrong version. EWMA drift state is folded in lazily,
-// under a small mutex, only when a Snapshot is taken (the health endpoint or
-// a metrics scrape) — the hot path never pays for it. The decision audit
-// ring is bounded and mutex-guarded; only sampled decisions reach it.
+// (fire counters, last-fired timestamps) and the epoch's transaction
+// counter — no locks, no allocation. EWMA drift state is folded in lazily,
+// under a small per-epoch mutex, only when a Snapshot is taken (the health
+// endpoint or a metrics scrape) — the hot path never pays for it. The
+// decision audit ring is bounded and mutex-guarded; only sampled decisions
+// reach it.
 package rulestats
 
 import (
@@ -84,10 +90,14 @@ type ruleCell struct {
 	lastFired atomic.Int64  // unix nanos; 0 = never in this epoch
 }
 
-// epoch is the per-published-version accounting generation. Swapped
-// wholesale on Reset so counters are always attributable to exactly one
-// rule-set version.
-type epoch struct {
+// Epoch is the rule-health accounting of one published rule-set version:
+// fire counts, FP/TP estimates, baselines and EWMAs, all starting from zero
+// when the version is published, so health is always relative to the rules
+// actually serving. It only ever counts what it is handed, so a caller that
+// records into the epoch of the version that scored attributes every count
+// to exactly that version.
+type Epoch struct {
+	cfg     *Config
 	version int
 	created time.Time
 	cells   []ruleCell
@@ -106,13 +116,12 @@ type epoch struct {
 }
 
 // Tracker is the serving daemon's rule-health accountant. Create with New,
-// Reset on every rule publish, feed it from the scoring and feedback paths,
-// and read it with Snapshot / AuditEntries.
+// take a NewEpoch for every published version, and read the sampled
+// decisions with AuditEntries.
 type Tracker struct {
 	cfg Config
-	ep  atomic.Pointer[epoch]
 
-	// Audit ring: bounded, sampled, survives Reset (entries carry the
+	// Audit ring: bounded, sampled, spans versions (entries carry the
 	// version they were scored under — it is an audit log, not a gauge).
 	auditMu  sync.Mutex
 	audit    []AuditEntry
@@ -122,24 +131,21 @@ type Tracker struct {
 	scoreSeq atomic.Uint64 // systematic-sampling counter
 }
 
-// New returns a Tracker with no rules; call Reset to install the first
-// published version.
+// New returns a Tracker with an empty audit ring.
 func New(cfg Config) *Tracker {
 	t := &Tracker{cfg: cfg.withDefaults()}
 	if t.cfg.AuditCapacity > 0 {
 		t.audit = make([]AuditEntry, t.cfg.AuditCapacity)
 	}
-	t.Reset(0, 0)
 	return t
 }
 
-// Reset installs a fresh accounting epoch for a newly published rule-set
-// version with ruleCount rules: fire counts, FP/TP estimates, baselines and
-// EWMAs all restart from zero, so health is always relative to the rules
-// actually serving. The audit ring is deliberately kept — it is a log of
-// past decisions, each tagged with its version.
-func (t *Tracker) Reset(version, ruleCount int) {
-	ep := &epoch{
+// NewEpoch returns a fresh accounting epoch for a newly published rule-set
+// version with ruleCount rules. The audit ring is not touched — it is a log
+// of past decisions, each tagged with its version.
+func (t *Tracker) NewEpoch(version, ruleCount int) *Epoch {
+	return &Epoch{
+		cfg:          &t.cfg,
 		version:      version,
 		created:      t.cfg.Now(),
 		cells:        make([]ruleCell, ruleCount),
@@ -148,26 +154,21 @@ func (t *Tracker) Reset(version, ruleCount int) {
 		ewmaOK:       make([]bool, ruleCount),
 		lastFoldTime: t.cfg.Now(),
 	}
-	t.ep.Store(ep)
 }
 
-// Version returns the rule-set version the current epoch accounts for.
-func (t *Tracker) Version() int { return t.ep.Load().version }
-
-// RecordFires ingests one scored batch's first-match attribution (the
-// []int32 produced by index.Evaluator.EvalFirstInto; NoRule entries count as
-// unmatched traffic). Safe for concurrent use; the cost is one atomic add
-// per fired tuple plus one per batch.
-func (t *Tracker) RecordFires(first []int32) {
-	ep := t.ep.Load()
-	ep.totalTx.Add(uint64(len(first)))
-	now := t.cfg.Now().UnixNano()
-	for _, ri := range first {
-		if ri < 0 || int(ri) >= len(ep.cells) {
+// RecordFires ingests one batch of scored transactions, of which counts[i]
+// first matched rule i (counts is nil when none fired; entries past the
+// epoch's rules are ignored). Safe for concurrent use; the cost is one
+// atomic add per fired rule plus one per batch.
+func (ep *Epoch) RecordFires(scored int, counts []uint64) {
+	ep.totalTx.Add(uint64(scored))
+	now := ep.cfg.Now().UnixNano()
+	for ri, n := range counts {
+		if n == 0 || ri >= len(ep.cells) {
 			continue
 		}
 		c := &ep.cells[ri]
-		c.fires.Add(1)
+		c.fires.Add(n)
 		c.lastFired.Store(now)
 	}
 }
@@ -176,11 +177,10 @@ func (t *Tracker) RecordFires(first []int32) {
 // that capture it: a fraud label counts a true positive for every capturing
 // rule, a legitimate label a false positive. Unlabeled feedback (fraud
 // unknown) is ignored.
-func (t *Tracker) RecordFeedback(fraud, legit bool, capturing []int) {
+func (ep *Epoch) RecordFeedback(fraud, legit bool, capturing []int) {
 	if !fraud && !legit {
 		return
 	}
-	ep := t.ep.Load()
 	for _, ri := range capturing {
 		if ri < 0 || ri >= len(ep.cells) {
 			continue
@@ -193,7 +193,7 @@ func (t *Tracker) RecordFeedback(fraud, legit bool, capturing []int) {
 	}
 }
 
-// RuleHealth is one rule's health snapshot within the current epoch.
+// RuleHealth is one rule's health snapshot within one epoch.
 type RuleHealth struct {
 	// Rule is the rule's index in the published set.
 	Rule int `json:"rule"`
@@ -223,8 +223,8 @@ type RuleHealth struct {
 	Drift float64 `json:"drift"`
 }
 
-// Snapshot is the tracker's full health readout, consistent with exactly
-// one epoch (and therefore one published version).
+// Snapshot is one epoch's full health readout (and therefore one published
+// version's).
 type Snapshot struct {
 	Version  int          `json:"version"`
 	TotalTx  uint64       `json:"total_scored"`
@@ -236,9 +236,8 @@ type Snapshot struct {
 // Snapshot folds the pending fire counts into the drift EWMAs (freezing the
 // baseline once enough traffic has been seen) and returns the per-rule
 // health. It locks only the epoch's fold mutex — scoring is never blocked.
-func (t *Tracker) Snapshot() Snapshot {
-	ep := t.ep.Load()
-	now := t.cfg.Now()
+func (ep *Epoch) Snapshot() Snapshot {
+	now := ep.cfg.Now()
 	total := ep.totalTx.Load()
 	fires := make([]uint64, len(ep.cells))
 	for i := range ep.cells {
@@ -247,7 +246,7 @@ func (t *Tracker) Snapshot() Snapshot {
 
 	ep.mu.Lock()
 	// Freeze the baseline the first time enough traffic has accumulated.
-	if ep.baseline == nil && total >= t.cfg.BaselineMinTx {
+	if ep.baseline == nil && total >= ep.cfg.BaselineMinTx {
 		ep.baseline = make([]float64, len(fires))
 		for i, f := range fires {
 			ep.baseline[i] = float64(f) / float64(total)
@@ -262,7 +261,7 @@ func (t *Tracker) Snapshot() Snapshot {
 		if dt <= 0 {
 			dt = time.Nanosecond
 		}
-		alpha := 1 - math.Exp2(-float64(dt)/float64(t.cfg.HalfLife))
+		alpha := 1 - math.Exp2(-float64(dt)/float64(ep.cfg.HalfLife))
 		for i := range fires {
 			share := float64(fires[i]-ep.lastFires[i]) / float64(dTx)
 			if !ep.ewmaOK[i] {
@@ -288,7 +287,7 @@ func (t *Tracker) Snapshot() Snapshot {
 		Baseline: baseline != nil,
 		Rules:    make([]RuleHealth, len(fires)),
 	}
-	floor := 1 / float64(t.cfg.BaselineMinTx)
+	floor := 1 / float64(ep.cfg.BaselineMinTx)
 	for i := range fires {
 		h := RuleHealth{
 			Rule:          i,
@@ -365,8 +364,7 @@ func (t *Tracker) ShouldSample() bool {
 }
 
 // AddAudit appends one decision to the audit ring, stamping its sequence
-// number and time (and version, when the caller left it zero, from the
-// current epoch).
+// number and, when the caller left it zero, its time.
 func (t *Tracker) AddAudit(e AuditEntry) {
 	if t.audit == nil {
 		return
@@ -374,9 +372,6 @@ func (t *Tracker) AddAudit(e AuditEntry) {
 	e.Seq = t.auditSeq.Add(1)
 	if e.Time.IsZero() {
 		e.Time = t.cfg.Now()
-	}
-	if e.Version == 0 {
-		e.Version = t.ep.Load().version
 	}
 	t.auditMu.Lock()
 	t.audit[t.auditPos] = e

@@ -2,6 +2,7 @@ package rulestats
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -32,10 +33,10 @@ func newTestTracker(cfg Config) (*Tracker, *fakeClock) {
 
 func TestFireCountsAndShares(t *testing.T) {
 	tr, _ := newTestTracker(Config{BaselineMinTx: 8})
-	tr.Reset(3, 2)
+	ep := tr.NewEpoch(3, 2)
 	// 10 tx: rule 0 fires 6 times, rule 1 twice, 2 unmatched.
-	tr.RecordFires([]int32{0, 0, 0, 1, -1, 0, 0, 1, -1, 0})
-	s := tr.Snapshot()
+	ep.RecordFires(10, []uint64{6, 2})
+	s := ep.Snapshot()
 	if s.Version != 3 || s.TotalTx != 10 {
 		t.Fatalf("snapshot version=%d total=%d, want 3/10", s.Version, s.TotalTx)
 	}
@@ -51,21 +52,21 @@ func TestFireCountsAndShares(t *testing.T) {
 	if s.Rules[0].BaselineShare != 0.6 {
 		t.Fatalf("baseline share = %v, want 0.6", s.Rules[0].BaselineShare)
 	}
-	// Out-of-range and NoRule indices are ignored, not panics.
-	tr.RecordFires([]int32{99, -1, -7})
-	if got := tr.Snapshot().TotalTx; got != 13 {
-		t.Fatalf("total = %d, want 13", got)
+	// Counts past the epoch's rules are ignored, not panics.
+	ep.RecordFires(3, []uint64{0, 0, 5})
+	if s := ep.Snapshot(); s.TotalTx != 13 || s.Rules[0].Fires != 6 || s.Rules[1].Fires != 2 {
+		t.Fatalf("total/fires = %d/%d/%d, want 13/6/2", s.TotalTx, s.Rules[0].Fires, s.Rules[1].Fires)
 	}
 }
 
 func TestFeedbackJoin(t *testing.T) {
 	tr, _ := newTestTracker(Config{})
-	tr.Reset(1, 3)
-	tr.RecordFeedback(true, false, []int{0, 2})  // fraud captured by rules 0, 2
-	tr.RecordFeedback(false, true, []int{0})     // legit captured by rule 0
-	tr.RecordFeedback(false, false, []int{0, 1}) // unlabeled: ignored
-	tr.RecordFeedback(true, false, nil)          // fraud nothing captured
-	s := tr.Snapshot()
+	ep := tr.NewEpoch(1, 3)
+	ep.RecordFeedback(true, false, []int{0, 2})  // fraud captured by rules 0, 2
+	ep.RecordFeedback(false, true, []int{0})     // legit captured by rule 0
+	ep.RecordFeedback(false, false, []int{0, 1}) // unlabeled: ignored
+	ep.RecordFeedback(true, false, nil)          // fraud nothing captured
+	s := ep.Snapshot()
 	if s.Rules[0].TP != 1 || s.Rules[0].FP != 1 {
 		t.Fatalf("rule 0 tp/fp = %d/%d, want 1/1", s.Rules[0].TP, s.Rules[0].FP)
 	}
@@ -82,10 +83,10 @@ func TestFeedbackJoin(t *testing.T) {
 
 func TestStalenessClock(t *testing.T) {
 	tr, clk := newTestTracker(Config{})
-	tr.Reset(1, 2)
-	tr.RecordFires([]int32{0})
+	ep := tr.NewEpoch(1, 2)
+	ep.RecordFires(1, []uint64{1})
 	clk.Advance(90 * time.Second)
-	s := tr.Snapshot()
+	s := ep.Snapshot()
 	if got := s.Rules[0].LastFiredAgo; got != 90 {
 		t.Fatalf("rule 0 last fired ago = %v, want 90", got)
 	}
@@ -96,18 +97,10 @@ func TestStalenessClock(t *testing.T) {
 
 func TestDriftDetectsRateChange(t *testing.T) {
 	tr, clk := newTestTracker(Config{BaselineMinTx: 100, HalfLife: time.Minute})
-	tr.Reset(1, 2)
+	ep := tr.NewEpoch(1, 2)
 	// Phase 1: rule 0 fires on 50% of traffic; freeze the baseline.
-	batch := make([]int32, 100)
-	for i := range batch {
-		if i%2 == 0 {
-			batch[i] = 0
-		} else {
-			batch[i] = NoRuleIdx
-		}
-	}
-	tr.RecordFires(batch)
-	s := tr.Snapshot()
+	ep.RecordFires(100, []uint64{50})
+	s := ep.Snapshot()
 	if !s.Baseline || s.Rules[0].BaselineShare != 0.5 {
 		t.Fatalf("baseline = %v share %v, want frozen at 0.5", s.Baseline, s.Rules[0].BaselineShare)
 	}
@@ -118,14 +111,10 @@ func TestDriftDetectsRateChange(t *testing.T) {
 	// collapse toward 0 and the drift toward |0-0.5|/0.5 = 1.
 	for i := 0; i < 20; i++ {
 		clk.Advance(time.Minute)
-		silent := make([]int32, 100)
-		for j := range silent {
-			silent[j] = NoRuleIdx
-		}
-		tr.RecordFires(silent)
-		tr.Snapshot() // fold
+		ep.RecordFires(100, nil)
+		ep.Snapshot() // fold
 	}
-	s = tr.Snapshot()
+	s = ep.Snapshot()
 	if s.Rules[0].Drift < 0.9 {
 		t.Fatalf("drift after the rule went silent = %v, want > 0.9", s.Rules[0].Drift)
 	}
@@ -135,29 +124,35 @@ func TestDriftDetectsRateChange(t *testing.T) {
 	}
 }
 
-func TestResetIsVersionAware(t *testing.T) {
+func TestEpochIsVersionAware(t *testing.T) {
 	tr, _ := newTestTracker(Config{})
-	tr.Reset(1, 1)
-	tr.RecordFires([]int32{0, 0, 0})
-	tr.RecordFeedback(true, false, []int{0})
-	tr.Reset(2, 2)
-	s := tr.Snapshot()
+	v1 := tr.NewEpoch(1, 1)
+	v1.RecordFires(3, []uint64{3})
+	v1.RecordFeedback(true, false, []int{0})
+	v2 := tr.NewEpoch(2, 2)
+	// A batch and a feedback join that version 1 evaluated, recorded after
+	// version 2 was published, stay with version 1.
+	v1.RecordFires(2, []uint64{2})
+	v1.RecordFeedback(true, false, []int{0})
+	s := v2.Snapshot()
 	if s.Version != 2 || len(s.Rules) != 2 {
-		t.Fatalf("after reset: version %d rules %d, want 2/2", s.Version, len(s.Rules))
+		t.Fatalf("new epoch: version %d rules %d, want 2/2", s.Version, len(s.Rules))
 	}
 	if s.TotalTx != 0 || s.Rules[0].Fires != 0 || s.Rules[0].TP != 0 {
-		t.Fatalf("counters must reset on publish: %+v", s)
+		t.Fatalf("counters must start from zero on publish: %+v", s)
+	}
+	if s := v1.Snapshot(); s.Version != 1 || s.TotalTx != 5 || s.Rules[0].Fires != 5 || s.Rules[0].TP != 2 {
+		t.Fatalf("version 1 lost its late records: %+v", s)
 	}
 }
 
 func TestAuditRingBoundedNewestFirst(t *testing.T) {
 	tr, _ := newTestTracker(Config{AuditCapacity: 4, SampleEvery: 1})
-	tr.Reset(7, 1)
 	for i := 0; i < 10; i++ {
 		if !tr.ShouldSample() {
 			t.Fatalf("SampleEvery=1 must sample every decision")
 		}
-		tr.AddAudit(AuditEntry{Rule: i, Flagged: true})
+		tr.AddAudit(AuditEntry{Version: 7, Rule: i, Flagged: true})
 	}
 	if tr.AuditLen() != 4 {
 		t.Fatalf("audit len = %d, want capacity 4", tr.AuditLen())
@@ -171,7 +166,7 @@ func TestAuditRingBoundedNewestFirst(t *testing.T) {
 			t.Fatalf("entry %d rule = %d, want %d (newest first)", i, e.Rule, want)
 		}
 		if e.Version != 7 {
-			t.Fatalf("entry version = %d, want stamped 7", e.Version)
+			t.Fatalf("entry version = %d, want 7", e.Version)
 		}
 		if e.Seq == 0 || e.Time.IsZero() {
 			t.Fatalf("entry %d missing seq/time: %+v", i, e)
@@ -180,10 +175,15 @@ func TestAuditRingBoundedNewestFirst(t *testing.T) {
 	if got := tr.AuditEntries(2); len(got) != 2 || got[0].Rule != 9 {
 		t.Fatalf("limited entries = %+v, want 2 newest", got)
 	}
-	// Entries survive a publish reset: the ring is an audit log.
-	tr.Reset(8, 1)
+	// Entries survive a publish: the ring is an audit log.
+	tr.NewEpoch(8, 1)
 	if tr.AuditLen() != 4 {
-		t.Fatalf("audit ring must survive Reset, len = %d", tr.AuditLen())
+		t.Fatalf("audit ring must survive a new epoch, len = %d", tr.AuditLen())
+	}
+	// Version 0 (a follower before bootstrap) is a version, not a blank.
+	tr.AddAudit(AuditEntry{Rule: -1})
+	if got := tr.AuditEntries(1)[0]; got.Version != 0 || got.Rule != -1 {
+		t.Fatalf("newest entry = %+v, want version 0 rule -1", got)
 	}
 }
 
@@ -210,39 +210,37 @@ func TestSampling(t *testing.T) {
 
 func TestConcurrentAccounting(t *testing.T) {
 	tr, _ := newTestTracker(Config{AuditCapacity: 64, SampleEvery: 3})
-	tr.Reset(1, 4)
+	var cur atomic.Pointer[Epoch]
+	cur.Store(tr.NewEpoch(1, 4))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
+				ep := cur.Load()
 				switch i % 4 {
 				case 0:
-					tr.RecordFires([]int32{int32(i % 4), -1, 2})
+					ep.RecordFires(3, []uint64{1, 0, 1})
 				case 1:
-					tr.RecordFeedback(i%2 == 0, i%2 == 1, []int{i % 4})
+					ep.RecordFeedback(i%2 == 0, i%2 == 1, []int{i % 4})
 				case 2:
 					if tr.ShouldSample() {
 						tr.AddAudit(AuditEntry{Rule: i % 4})
 					}
 				default:
-					tr.Snapshot()
+					ep.Snapshot()
 					tr.AuditEntries(8)
 				}
 				if i%50 == 0 && w == 0 {
-					tr.Reset(2+i, 4)
+					cur.Store(tr.NewEpoch(2+i, 4))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	s := tr.Snapshot()
+	s := cur.Load().Snapshot()
 	if len(s.Rules) != 4 {
 		t.Fatalf("rules = %d, want 4", len(s.Rules))
 	}
 }
-
-// NoRuleIdx mirrors index.NoRule without importing the index package (which
-// would create an import cycle in this white-box test's package).
-const NoRuleIdx int32 = -1

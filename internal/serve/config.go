@@ -3,7 +3,9 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/url"
 	"runtime"
 	"time"
@@ -291,7 +293,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Registry = telemetry.NewRegistry()
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.DiscardHandler)
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	if cfg.RuleLabelCap == 0 {
 		cfg.RuleLabelCap = DefaultRuleLabelCap

@@ -173,6 +173,26 @@ func TestFollowerReplicatesLeader(t *testing.T) {
 	if letag != fetag {
 		t.Fatalf("post-publish ETags diverge: leader %s follower %s", letag, fetag)
 	}
+
+	// Rule health is per node: the follower accounts the replicated version
+	// and counts only the traffic it scored itself under it.
+	for i, url := range []string{lts.URL, lts.URL, fts} {
+		if code, body := postJSON(t, url+"/v1/score", tx(250, 12, 10), nil); code != http.StatusOK {
+			t.Fatalf("score %d: %d %s", i, code, body)
+		}
+	}
+	for _, n := range []struct {
+		url  string
+		want uint64
+	}{{lts.URL, 2}, {fts, 1}} {
+		var h ruleHealthResponse
+		if code := getJSON(t, n.url+"/v1/rules/health", &h); code != http.StatusOK {
+			t.Fatalf("%s health: %d", n.url, code)
+		}
+		if h.Version != leader.Version() || h.TotalTx != n.want || len(h.Rules) != 1 || h.Rules[0].Fires != n.want {
+			t.Fatalf("%s health = %+v, want version %d with %d scored, all firing rule 0", n.url, h.Snapshot, leader.Version(), n.want)
+		}
+	}
 }
 
 // TestFollowerBootstrapsFromSnapshot forces a leader snapshot (which prunes

@@ -101,10 +101,6 @@ type Server struct {
 
 	sem chan struct{}
 
-	// stats is the per-rule health accountant behind GET /v1/rules/health,
-	// GET /v1/audit and the per-rule metric series. Reset on every publish.
-	stats *rulestats.Tracker
-
 	reg *telemetry.Registry
 	// hot-path metrics, resolved once.
 	mScoreTx      *telemetry.Counter
@@ -213,7 +209,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	state, err := newReplicated(cfg.Schema, cfg.History)
+	stats := rulestats.New(rulestats.Config{
+		HalfLife:      cfg.DriftHalfLife,
+		BaselineMinTx: uint64(cfg.BaselineMinTx),
+		AuditCapacity: cfg.AuditCapacity,
+		SampleEvery:   cfg.AuditSampleEvery,
+	})
+	state, err := newReplicated(cfg.Schema, cfg.History, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -233,12 +235,6 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.attrJSON {
 		s.attrJSON[i] = string(appendJSONString(nil, cfg.Schema.Attr(i).Name))
 	}
-	s.stats = rulestats.New(rulestats.Config{
-		HalfLife:      cfg.DriftHalfLife,
-		BaselineMinTx: uint64(cfg.BaselineMinTx),
-		AuditCapacity: cfg.AuditCapacity,
-		SampleEvery:   cfg.AuditSampleEvery,
-	})
 	s.initMetrics()
 	// The tracer's completion hook derives the refinement metrics straight
 	// from the spans, so the histogram and the trace can never disagree.
@@ -301,7 +297,7 @@ func New(cfg Config) (*Server, error) {
 		Interval: cfg.AlertInterval,
 		Sources: alert.Sources{
 			Metrics:   s.reg,
-			RuleStats: s.stats.Snapshot,
+			RuleStats: s.ruleHealth,
 		},
 		Prepare: s.refreshDebugStats,
 		Logger:  s.log,
@@ -447,10 +443,6 @@ func (s *Server) publishLocked(rs *rules.Set, mods []core.Modification, comment 
 // effects of a newly installed version, whichever role installed it and
 // however (live publish, replayed or replicated publish record, snapshot).
 func (s *Server) published(st *ruleState, seq uint64, comment string) {
-	// Per-rule health restarts with every publish: fire counts, baselines
-	// and FP/TP estimates are only meaningful relative to the serving rules.
-	// (The sampled audit ring survives — its entries carry their version.)
-	s.stats.Reset(st.version, st.set.Len())
 	s.mVersion.Set(int64(st.version))
 	s.mRuleCount.Set(int64(st.set.Len()))
 	s.mSwaps.Inc()
@@ -1062,12 +1054,11 @@ func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, during str
 // once the request's own deadline has passed.
 const timeoutReplyGrace = time.Second
 
-// recordScore feeds one scored batch into the rule-health tracker, the
+// recordScore feeds one batch scored under st into st's health epoch, the
 // per-rule fire counters and (for sampled decisions) the audit ring.
 func (s *Server) recordScore(requestID string, st *ruleState, rel *relation.Relation, first []int32) {
-	s.stats.RecordFires(first)
-	// Per-rule fire counters: aggregate per batch so a 4k-tx batch costs at
-	// most one counter lookup per distinct fired rule.
+	// Aggregate fires per batch so a 4k-tx batch costs the epoch and the
+	// counters at most one add per distinct fired rule.
 	nRules := st.set.Len()
 	var counts []uint64
 	for i, ri := range first {
@@ -1088,6 +1079,7 @@ func (s *Server) recordScore(requestID string, st *ruleState, rel *relation.Rela
 			})
 		}
 	}
+	st.health.RecordFires(len(first), counts)
 	for ri, n := range counts {
 		if n > 0 {
 			s.vRuleFires.With(strconv.Itoa(ri)).Add(n)
@@ -1264,8 +1256,10 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	// Join the labels against the capturing rules: the per-rule FP/TP
 	// evidence behind GET /v1/rules/health and the feedback counter series.
+	// The join books into the epoch of the st the captures were computed
+	// under, even if a publish has since replaced it.
 	for i, lab := range labels {
-		s.stats.RecordFeedback(lab == relation.Fraud, lab == relation.Legitimate, capturing[i])
+		st.health.RecordFeedback(lab == relation.Fraud, lab == relation.Legitimate, capturing[i])
 		var perRule *telemetry.CounterVec
 		switch lab {
 		case relation.Fraud:
@@ -1434,7 +1428,7 @@ func (s *Server) handleRuleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	meta := requestMeta(r)
 	sp := meta.span.Child("rulestats.snapshot")
-	snap := s.stats.Snapshot()
+	snap := s.ruleHealth()
 	sp.Int("rules", int64(len(snap.Rules))).Int("version", int64(snap.Version))
 	sp.End()
 	etag := versionETag(snap.Version)
@@ -1468,18 +1462,20 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, auditResponse{
 		RequestID: requestMeta(r).id,
-		Version:   s.stats.Version(),
+		Version:   s.state.Load().version,
 		Retained:  s.stats.AuditLen(),
 		Count:     len(entries),
 		Entries:   entries,
 	})
 }
 
+// ruleHealth is the published version's health snapshot.
+func (s *Server) ruleHealth() rulestats.Snapshot { return s.state.Load().health.Snapshot() }
+
 // refreshRuleGauges publishes the derived per-rule gauges (drift, staleness)
 // from a fresh health snapshot. Called before every /metrics scrape.
 func (s *Server) refreshRuleGauges() {
-	snap := s.stats.Snapshot()
-	for _, h := range snap.Rules {
+	for _, h := range s.ruleHealth().Rules {
 		label := strconv.Itoa(h.Rule)
 		s.vRuleDrift.With(label).Set(h.Drift)
 		s.vRuleStale.With(label).Set(h.LastFiredAgo)

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -609,20 +611,22 @@ func TestSchemaEndpoint(t *testing.T) {
 // one that does not (even versions). Every response must be internally
 // consistent (all verdicts in a batch equal — one version per response) and
 // externally consistent (the verdicts match the version the response
-// reports). Run under -race this also proves the swap path publishes safely.
+// reports). Meanwhile one client posts fraud-labelled probes as feedback;
+// once each non-flagging version's predecessor has drained, that version's
+// /v1/rules/health must show no fires and no TP — a batch or a feedback join
+// books into the version that evaluated it. Run under -race this also proves
+// the swap path publishes safely.
 func TestHotSwapRace(t *testing.T) {
 	schema := testSchema(t)
 	// Version 1 (initial) flags the probe; every swap alternates.
 	flagging := "amount >= 100"
 	nonFlagging := "amount <= 50"
-	s, ts := newTestServer(t, Config{Schema: schema, Rules: mustRules(t, schema, flagging)})
-	_ = s
+	_, ts := newTestServer(t, Config{Schema: schema, Rules: mustRules(t, schema, flagging)})
 
 	const (
-		scorers   = 4
-		perScorer = 150
-		swaps     = 60
-		batch     = 16
+		scorers = 4
+		swaps   = 60
+		batch   = 16
 	)
 	probeBatch := make([]any, batch)
 	for i := range probeBatch {
@@ -632,28 +636,46 @@ func TestHotSwapRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fraud := tx(150, 3, 10)
+	fraud["label"] = "fraud"
+	feedbackBody, err := json.Marshal(map[string]any{"transactions": []any{fraud}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body []byte, out any) error {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: status %d", path, resp.StatusCode)
+		}
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, scorers+1)
+	errs := make(chan error, scorers+2)
+	// seen[c] is the newest version client c (the scorers, then one
+	// feedback poster) has had an answer under; a finished client reports
+	// MaxInt64. An answer under v means everything c sent earlier has been
+	// recorded, so once every client has seen v nothing evaluated under an
+	// older version is still in flight. The clients run until the last swap.
+	seen := make([]atomic.Int64, scorers+1)
+	var swapsDone atomic.Bool
 
 	wg.Add(1)
 	go func() { // swapper
 		defer wg.Done()
+		defer swapsDone.Store(true)
 		for i := 0; i < swaps; i++ {
 			text := nonFlagging // publishes as version 2, 4, ...
 			if i%2 == 1 {
 				text = flagging // version 3, 5, ...
 			}
 			raw, _ := json.Marshal(rulesSwapRequest{Rules: []string{text}})
-			resp, err := http.Post(ts.URL+"/v1/rules", "application/json", bytes.NewReader(raw))
-			if err != nil {
-				errs <- fmt.Errorf("swap %d: %v", i, err)
-				return
-			}
 			var got rulesResponse
-			err = json.NewDecoder(resp.Body).Decode(&got)
-			resp.Body.Close()
-			if err != nil {
+			if err := post("/v1/rules", raw, &got); err != nil {
 				errs <- fmt.Errorf("swap %d: %v", i, err)
 				return
 			}
@@ -664,6 +686,49 @@ func TestHotSwapRace(t *testing.T) {
 				errs <- fmt.Errorf("swap %d got version %d, want %d", i, got.Version, i+2)
 				return
 			}
+			// Every version serves traffic before the next swap, so the
+			// flagging one always has requests in flight at the swap.
+			for c := range seen {
+				for seen[c].Load() < int64(got.Version) {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			if text == flagging {
+				continue
+			}
+			// The never-matching version's health must hold none of the
+			// fires or fraud captures its flagging predecessor evaluated,
+			// however late those requests recorded them.
+			resp, err := http.Get(ts.URL + "/v1/rules/health")
+			if err != nil {
+				errs <- err
+				return
+			}
+			var h ruleHealthResponse
+			err = json.NewDecoder(resp.Body).Decode(&h)
+			resp.Body.Close()
+			if err != nil || h.Version != got.Version || len(h.Rules) != 1 {
+				errs <- fmt.Errorf("health after publishing v%d: %+v (%v)", got.Version, h, err)
+				return
+			}
+			if r := h.Rules[0]; r.Fires != 0 || r.TP != 0 {
+				errs <- fmt.Errorf("version %d never matches the probe, but its health shows %d fires and %d TP", got.Version, r.Fires, r.TP)
+				return
+			}
+		}
+	}()
+
+	wg.Add(1)
+	go func() { // feedback poster: fraud-labelled probes for the whole run
+		defer wg.Done()
+		defer seen[scorers].Store(math.MaxInt64)
+		for !swapsDone.Load() {
+			var got feedbackResponse
+			if err := post("/v1/feedback", feedbackBody, &got); err != nil {
+				errs <- err
+				return
+			}
+			seen[scorers].Store(int64(got.Version))
 		}
 	}()
 
@@ -671,19 +736,14 @@ func TestHotSwapRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perScorer; i++ {
-				resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- err
-					return
-				}
+			defer seen[g].Store(math.MaxInt64)
+			for !swapsDone.Load() {
 				var got scoreResponse
-				err = json.NewDecoder(resp.Body).Decode(&got)
-				resp.Body.Close()
-				if err != nil {
+				if err := post("/v1/score", body, &got); err != nil {
 					errs <- err
 					return
 				}
+				seen[g].Store(int64(got.Version))
 				if got.Count != batch || len(got.Flagged) != batch {
 					errs <- fmt.Errorf("short response: %+v", got)
 					return

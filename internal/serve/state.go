@@ -37,6 +37,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/relation"
 	"repro/internal/rules"
+	"repro/internal/rulestats"
 	"repro/internal/window"
 )
 
@@ -144,14 +145,19 @@ func parseManifest(raw []byte) (manifest, error) {
 	return m, nil
 }
 
-// ruleState is one published version: the rule set, its compiled evaluator
-// and the history version id. Immutable once published — install builds a new
-// state and atomically replaces the pointer.
+// ruleState is one published version: the rule set, its compiled evaluator,
+// the history version id and the version's rule-health epoch. Immutable once
+// published (only the epoch's counters move) — install builds a new state and
+// atomically replaces the pointer.
 type ruleState struct {
 	version int
 	set     *rules.Set
 	ev      *index.Evaluator
-	texts   []string
+	// health accounts this version's scored fires and feedback joins. A
+	// request records into the epoch of the state it loaded, so a publish
+	// mid-request cannot move its counts onto the next version.
+	health *rulestats.Epoch
+	texts  []string
 	// textsJSON holds each rule text pre-escaped as a JSON string literal
 	// (quotes included), computed once per publish so the score encode path
 	// never re-escapes rule texts per response.
@@ -175,6 +181,9 @@ type replicated struct {
 	// state is the published version. Scoring requests load the pointer
 	// exactly once, so every response is consistent with exactly one version.
 	state atomic.Pointer[ruleState]
+	// stats issues each installed version its health epoch and keeps the
+	// sampled decision audit ring.
+	stats *rulestats.Tracker
 
 	// mu serializes control-plane state: rule swaps, history commits,
 	// feedback appends, their WAL writes, snapshots, the capture cache and
@@ -197,8 +206,8 @@ type replicated struct {
 
 	// onInstall, when set, runs after every install with the new state, the
 	// record that produced it and that version's comment. It is the single
-	// site for the non-replicated side effects of a publish (rule-health
-	// reset, gauges, swap counter, log line).
+	// site for the non-replicated side effects of a publish (gauges, swap
+	// counter, log line).
 	onInstall func(st *ruleState, seq uint64, comment string)
 }
 
@@ -231,12 +240,13 @@ func (m ctxMutex) lockCtx(ctx context.Context) error {
 // newReplicated returns the empty state over schema — no versions, no
 // feedback, an empty version-0 rule set published (scoreable: nothing flags)
 // — continuing hist when the caller supplies one.
-func newReplicated(schema *relation.Schema, hist *history.Store) (*replicated, error) {
+func newReplicated(schema *relation.Schema, hist *history.Store, stats *rulestats.Tracker) (*replicated, error) {
 	if hist == nil {
 		hist = history.NewStore(schema)
 	}
 	r := &replicated{
 		schema:   schema,
+		stats:    stats,
 		hist:     hist,
 		mu:       make(ctxMutex, 1),
 		feedback: relation.New(schema),
@@ -326,7 +336,8 @@ func (r *replicated) install(seq uint64) error {
 			return err
 		}
 	}
-	st := &ruleState{version: v.ID, set: rs, ev: index.Compile(r.schema, rs), texts: v.Rules}
+	st := &ruleState{version: v.ID, set: rs, ev: index.Compile(r.schema, rs),
+		health: r.stats.NewEpoch(v.ID, rs.Len()), texts: v.Rules}
 	st.textsJSON = make([]string, len(v.Rules))
 	for i, text := range v.Rules {
 		st.textsJSON[i] = string(appendJSONString(nil, text))

@@ -212,30 +212,13 @@ func (s Span) Child(name string) Span {
 	return s.t.start(name, s.d.rec.ID, s.d.rec.Track)
 }
 
-// Instant emits a zero-duration point event under s (or nothing on the zero
-// Span).
-func (s Span) Instant(name string) {
-	if s.d == nil || s.d.done {
-		return
-	}
-	s.t.instant(name, s.d.rec.ID, s.d.rec.Track)
-}
-
 // Instant emits a root zero-duration point event. Safe on a nil tracer.
 func (t *Tracer) Instant(name string) {
 	if t == nil {
 		return
 	}
-	t.instant(name, 0, 0)
-}
-
-func (t *Tracer) instant(name string, parent, track uint64) {
 	id := t.ids.Add(1)
-	if track == 0 {
-		track = id
-	}
-	rec := Record{ID: id, Parent: parent, Track: track, Name: name,
-		Start: time.Now().UnixNano(), Instant: true}
+	rec := Record{ID: id, Track: id, Name: name, Start: time.Now().UnixNano(), Instant: true}
 	t.emit(&rec)
 }
 

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,24 +16,24 @@ func TestSpanHierarchyAndAttrs(t *testing.T) {
 	root.Int("n", 42).Str("who", "tester").Float("f", 1.5).Bool("ok", true)
 	child := root.Child("child")
 	child.Int("rule", 3)
-	child.Instant("tick")
 	child.End()
 	root.End()
+	tr.Instant("tick")
 
 	recs := tr.Snapshot()
 	if len(recs) != 3 {
 		t.Fatalf("got %d records, want 3", len(recs))
 	}
-	// Records complete in order: instant, child, root.
-	tick, child2, root2 := recs[0], recs[1], recs[2]
-	if tick.Name != "tick" || !tick.Instant {
-		t.Fatalf("first record = %+v, want instant tick", tick)
+	// Records complete in order: child, root, instant.
+	child2, root2, tick := recs[0], recs[1], recs[2]
+	if tick.Name != "tick" || !tick.Instant || tick.Parent != 0 {
+		t.Fatalf("last record = %+v, want root instant tick", tick)
 	}
 	if child2.Name != "child" || child2.Parent != root2.ID {
 		t.Fatalf("child parent = %d, want root id %d", child2.Parent, root2.ID)
 	}
-	if child2.Track != root2.Track || tick.Track != root2.Track {
-		t.Fatalf("tracks differ: %d %d %d", tick.Track, child2.Track, root2.Track)
+	if child2.Track != root2.Track || tick.Track == root2.Track {
+		t.Fatalf("tracks: child %d root %d tick %d, want child on root's, tick on its own", child2.Track, root2.Track, tick.Track)
 	}
 	attrs := attrMap(&root2)
 	if attrs["n"] != int64(42) || attrs["who"] != "tester" || attrs["f"] != 1.5 || attrs["ok"] != true {
@@ -48,7 +47,6 @@ func TestZeroSpanIsInert(t *testing.T) {
 	if c := s.Child("x"); c != (Span{}) {
 		t.Fatal("child of zero span is live")
 	}
-	s.Instant("e")
 	s.End()
 	s.End() // double End must be safe
 
@@ -161,7 +159,7 @@ func TestConcurrentEmission(t *testing.T) {
 				sp := tr.Start("req")
 				sp.Int("worker", int64(w)).Int("i", int64(i))
 				c := sp.Child("eval")
-				c.Instant("hit")
+				tr.Instant("hit")
 				c.End()
 				sp.End()
 			}
@@ -214,7 +212,6 @@ func TestWriteChrome(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	child := root.Child("expert.review_generalization")
 	child.End()
-	child.Instant("never") // ended span: must not emit
 	root.End()
 
 	var buf bytes.Buffer
@@ -248,9 +245,6 @@ func TestWriteChrome(t *testing.T) {
 	if args["parent_id"] != rootArgs["span_id"] {
 		t.Fatalf("parent_id %v != root span_id %v", args["parent_id"], rootArgs["span_id"])
 	}
-	if strings.Contains(buf.String(), `"never"`) {
-		t.Fatal("instant after End leaked into the trace")
-	}
 }
 
 // BenchmarkNilTracer proves the disabled path is free: starting, attributing
@@ -264,7 +258,7 @@ func BenchmarkNilTracer(b *testing.B) {
 		c := sp.Child("expert.review_generalization")
 		c.Int("rule", 3)
 		c.End()
-		sp.Instant("capture.invalidate")
+		tr.Instant("capture.invalidate")
 		sp.End()
 	}
 }

@@ -31,7 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -188,7 +190,7 @@ func Open(opts Options, replay func(Entry) error) (*Log, error) {
 		opts.SyncInterval = DefaultSyncInterval
 	}
 	if opts.Logger == nil {
-		opts.Logger = slog.New(slog.DiscardHandler)
+		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
