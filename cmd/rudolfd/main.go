@@ -14,7 +14,6 @@
 //	        [-debug-addr 127.0.0.1:6060] [-trace-capacity N]
 //	        [-slow-ring N] [-slow-floor 250ms]
 //	        [-audit-ring N] [-audit-sample N] [-drift-half-life 5m]
-//	        [-rule-label-cap N]
 //	        [-alerts alerts.txt] [-alert-interval 15s] [-alert-webhook URL]
 //
 // Without -schema, the daemon boots on the synthetic financial-institute
@@ -123,7 +122,6 @@ func main() {
 		auditRing   = flag.Int("audit-ring", 0, "sampled decision audit ring capacity served by GET /v1/audit (0: default; negative: disabled)")
 		auditSample = flag.Int("audit-sample", 0, "audit 1-in-N decision sampling rate (0: default; 1: every decision)")
 		driftHalf   = flag.Duration("drift-half-life", 0, "EWMA half-life for per-rule fire-rate drift in GET /v1/rules/health (0: default)")
-		ruleLblCap  = flag.Int("rule-label-cap", 0, "max per-rule metric label series before collapsing to rule=\"other\" (0: default; negative: unbounded)")
 		alertsPath  = flag.String("alerts", "", "declarative alert-rule file (empty: the compiled-in SLO defaults)")
 		alertIvl    = flag.Duration("alert-interval", 0, "alert evaluation period (0: default 15s; negative: on-demand only via GET /v1/alerts?refresh=1)")
 		alertHook   = flag.String("alert-webhook", "", "POST firing/resolved alert transitions as JSON to this URL")
@@ -157,7 +155,6 @@ func main() {
 		AuditRing:        *auditRing,
 		AuditSample:      *auditSample,
 		DriftHalfLife:    *driftHalf,
-		RuleLabelCap:     *ruleLblCap,
 		AlertsPath:       *alertsPath,
 		AlertInterval:    *alertIvl,
 		AlertWebhook:     *alertHook,

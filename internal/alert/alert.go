@@ -9,7 +9,8 @@
 // ALERTS{name,severity,state} gauge family, and an optional webhook sink.
 //
 // Evaluation runs on its own ticker, never on the scoring hot path: the
-// engine only reads atomics the hot path already maintains.
+// engine only reads the registry, whose series are atomics the hot path
+// already maintains or read-time reads of the subsystem that owns them.
 package alert
 
 import (

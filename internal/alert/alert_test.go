@@ -1,14 +1,30 @@
 package alert
 
 import (
+	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/rulestats"
 	"repro/internal/telemetry"
 )
+
+// signal is a settable float series for the engine to sample: a read-time
+// gauge over a value the test owns.
+type signal struct{ bits atomic.Uint64 }
+
+func (s *signal) Set(v float64) { s.bits.Store(math.Float64bits(v)) }
+
+func newSignal(reg *telemetry.Registry, name string) *signal {
+	s := &signal{}
+	reg.Collect(map[string]string{name: "gauge"}, func(emit func(string, float64)) {
+		emit(name, math.Float64frombits(s.bits.Load()))
+	})
+	return s
+}
 
 // fakeClock is a manually advanced clock for deterministic hysteresis
 // tests.
@@ -171,7 +187,7 @@ func TestStateMachine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			sig := reg.FloatGauge("sig")
+			sig := newSignal(reg, "sig")
 			clk := newFakeClock()
 			rules, err := ParseRules(strings.NewReader(tc.rule))
 			if err != nil {
@@ -196,7 +212,7 @@ func TestStateMachine(t *testing.T) {
 // one full fire/resolve cycle.
 func TestStateMachineEvents(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	sig := reg.FloatGauge("sig")
+	sig := newSignal(reg, "sig")
 	clk := newFakeClock()
 	e := NewEngine(Config{
 		Rules:   MustParseRules("alert boom severity=page: value(sig) > 1"),
@@ -372,7 +388,7 @@ func TestMaxRuleSignal(t *testing.T) {
 // TestHistoryBounded: the transition ring wraps at HistoryCap.
 func TestHistoryBounded(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	sig := reg.FloatGauge("sig")
+	sig := newSignal(reg, "sig")
 	clk := newFakeClock()
 	e := NewEngine(Config{
 		Rules:      MustParseRules("alert flap: value(sig) > 0"),
@@ -404,7 +420,7 @@ func TestHistoryBounded(t *testing.T) {
 // version and zeroes the gauges of vanished rules.
 func TestSetRules(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	sig := reg.FloatGauge("sig")
+	sig := newSignal(reg, "sig")
 	e := NewEngine(Config{
 		Rules:   MustParseRules("alert old: value(sig) > 0"),
 		Sources: Sources{Metrics: reg},

@@ -42,11 +42,6 @@ type Config struct {
 	Webhook *WebhookConfig
 	// Sources are the signal inputs.
 	Sources Sources
-	// Prepare, when set, runs before each evaluation pass (outside the
-	// engine lock) — the server hooks its derived-gauge refresh here so
-	// window/WAL/runtime gauges are as fresh for an alert sample as they
-	// are for a /metrics scrape.
-	Prepare func()
 	// Logger receives transition logs; nil discards.
 	Logger *slog.Logger
 	// Now is the clock (tests inject a fake one); nil means time.Now.
@@ -96,7 +91,6 @@ type Snapshot struct {
 // that no scoring path ever touches.
 type Engine struct {
 	sources  Sources
-	prepare  func()
 	log      *slog.Logger
 	now      func() time.Time
 	interval time.Duration
@@ -151,7 +145,6 @@ type gaugeKey struct {
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		sources:    cfg.Sources,
-		prepare:    cfg.Prepare,
 		log:        cfg.Logger,
 		now:        cfg.Now,
 		interval:   cfg.Interval,
@@ -276,9 +269,6 @@ func (e *Engine) Close() {
 // expression, apply the comparator, advance the state machine, record
 // transitions, update the ALERTS gauges and feed the webhook sink.
 func (e *Engine) Evaluate() {
-	if e.prepare != nil {
-		e.prepare()
-	}
 	now := e.now()
 	e.mu.Lock()
 	defer e.mu.Unlock()

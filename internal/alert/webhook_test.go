@@ -188,7 +188,7 @@ func TestEngineWebhookEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(sink)
 	defer srv.Close()
 	reg := telemetry.NewRegistry()
-	sig := reg.FloatGauge("sig")
+	sig := newSignal(reg, "sig")
 	clk := newFakeClock()
 	e := NewEngine(Config{
 		Rules:   MustParseRules("alert hook severity=page: value(sig) > 1"),

@@ -54,15 +54,14 @@ type ServeOptions struct {
 	// adaptive-p99-only).
 	SlowRing  int
 	SlowFloor time.Duration
-	// AuditRing, AuditSample, DriftHalfLife and RuleLabelCap are the rule
-	// observability knobs: the sampled decision audit ring capacity, the
-	// 1-in-N audit sampling rate, the fire-rate drift EWMA half-life and the
-	// per-rule metric label cardinality cap (see serve.Config; 0 means the
-	// serving default, negative disables where the field documents it).
+	// AuditRing, AuditSample and DriftHalfLife are the rule observability
+	// knobs: the sampled decision audit ring capacity, the 1-in-N audit
+	// sampling rate and the fire-rate drift EWMA half-life (see
+	// serve.Config; 0 means the serving default, negative disables where the
+	// field documents it).
 	AuditRing     int
 	AuditSample   int
 	DriftHalfLife time.Duration
-	RuleLabelCap  int
 	// AlertsPath is a declarative alert-rule file (see internal/alert);
 	// empty keeps the compiled-in default rules. AlertInterval is the
 	// evaluation period (0 means the serving default, negative disables the
@@ -94,7 +93,6 @@ func (o ServeOptions) ServerConfig() (serve.Config, error) {
 		AuditCapacity:    o.AuditRing,
 		AuditSampleEvery: o.AuditSample,
 		DriftHalfLife:    o.DriftHalfLife,
-		RuleLabelCap:     o.RuleLabelCap,
 		AlertInterval:    o.AlertInterval,
 		AlertWebhook:     o.AlertWebhook,
 	}

@@ -314,13 +314,69 @@ func metricFamilies(page string) (families []string, helped map[string]bool) {
 	return families, helped
 }
 
+// familyKinds is every family a durable windowed leader and its follower
+// render, with its # TYPE: the kind dashboards and recording rules rely on,
+// whether the registry stores the series or reads it at read time.
+var familyKinds = map[string]string{
+	"ALERTS":                               "gauge",
+	"rudolf_alert_evals_total":             "counter",
+	"rudolf_alert_transitions_total":       "counter",
+	"rudolf_alerts_firing":                 "gauge",
+	"rudolf_build_info":                    "gauge",
+	"rudolf_capture_cache_hits_total":      "counter",
+	"rudolf_capture_cache_misses_total":    "counter",
+	"rudolf_expert_queries_total":          "counter",
+	"rudolf_feedback_tx_total":             "counter",
+	"rudolf_go_gc_cycles":                  "gauge",
+	"rudolf_go_gc_pause_seconds":           "histogram",
+	"rudolf_go_goroutines":                 "gauge",
+	"rudolf_go_heap_bytes":                 "gauge",
+	"rudolf_go_heap_objects":               "gauge",
+	"rudolf_http_requests_total":           "counter",
+	"rudolf_refine_round_duration_seconds": "histogram",
+	"rudolf_refines_total":                 "counter",
+	"rudolf_replica_applied_seq":           "gauge",
+	"rudolf_replica_lag_records":           "gauge",
+	"rudolf_replica_reconnects_total":      "counter",
+	"rudolf_rule_drift":                    "gauge",
+	"rudolf_rule_feedback_fp_total":        "counter",
+	"rudolf_rule_feedback_tp_total":        "counter",
+	"rudolf_rule_fires_total":              "counter",
+	"rudolf_rule_last_fired_ago_seconds":   "gauge",
+	"rudolf_rule_swaps_total":              "counter",
+	"rudolf_rules_count":                   "gauge",
+	"rudolf_rules_version":                 "gauge",
+	"rudolf_score_aborted_total":           "counter",
+	"rudolf_score_batch_size":              "histogram",
+	"rudolf_score_inflight":                "gauge",
+	"rudolf_score_latency_seconds":         "histogram",
+	"rudolf_score_tx_total":                "counter",
+	"rudolf_snapshots_total":               "counter",
+	"rudolf_stage_duration_seconds":        "histogram",
+	"rudolf_trace_slow_promoted_total":     "counter",
+	"rudolf_trace_slow_threshold_seconds":  "gauge",
+	"rudolf_wal_append_seconds":            "histogram",
+	"rudolf_wal_appends_total":             "counter",
+	"rudolf_wal_disk_bytes":                "gauge",
+	"rudolf_wal_fsync_seconds":             "histogram",
+	"rudolf_wal_fsyncs_total":              "counter",
+	"rudolf_wal_replayed_records_total":    "counter",
+	"rudolf_wal_segments":                  "gauge",
+	"rudolf_wal_torn_tail_drops_total":     "counter",
+	"rudolf_window_entries":                "gauge",
+	"rudolf_window_evictions_total":        "counter",
+	"rudolf_window_watermark_minutes":      "gauge",
+}
+
 // TestMetricsDocumentedAndAlertable: every metric family a durable windowed
-// leader or its follower registers carries a # HELP line, and every default
+// leader or its follower registers carries a # HELP line and its expected
+// # TYPE, every counter series on a page reads the same through
+// Registry.Value (the alert engine's path) as on the page, and every default
 // alert samples a family one of them registers (or a per-rule health
 // signal), so no default alert can watch a series that does not exist.
 func TestMetricsDocumentedAndAlertable(t *testing.T) {
 	cfg := velocityDurableConfig(t, t.TempDir())
-	_, lts := newTestServer(t, cfg)
+	leader, lts := newTestServer(t, cfg)
 	fb := vtx(100, 1, 50)
 	fb["label"] = "fraud"
 	if code, body := postJSON(t, lts.URL+"/v1/feedback", map[string]any{"transactions": []any{fb}}, nil); code != http.StatusOK {
@@ -336,8 +392,19 @@ func TestMetricsDocumentedAndAlertable(t *testing.T) {
 	goruntime.GC() // so the GC pause histogram has an observation to report
 
 	registered := map[string]bool{}
-	for _, base := range []string{lts.URL, fts} {
+	for base, srv := range map[string]*Server{lts.URL: leader, fts: follower} {
 		page := getMetrics(t, base)
+		for _, ps := range parsePage(t, page) {
+			if want := familyKinds[ps.family]; ps.kind != want {
+				t.Errorf("%s/metrics: family %s has TYPE %s, want %q", base, ps.family, ps.kind, want)
+			}
+			if ps.kind != "counter" {
+				continue
+			}
+			if v, ok := srv.Registry().Value(ps.name); !ok || v != ps.value {
+				t.Errorf("%s: Registry.Value(%s) = %v, %v; the page says %v", base, ps.name, v, ok, ps.value)
+			}
+		}
 		families, helped := metricFamilies(page)
 		if len(families) == 0 {
 			t.Fatalf("%s/metrics declares no families", base)
@@ -350,6 +417,11 @@ func TestMetricsDocumentedAndAlertable(t *testing.T) {
 		}
 		if v, ok := telemetry.ScrapeValue(page, "rudolf_go_gc_pause_seconds_count"); !ok || v == 0 {
 			t.Errorf("%s/metrics: rudolf_go_gc_pause_seconds_count = %v, %v after a GC, want > 0", base, v, ok)
+		}
+	}
+	for f := range familyKinds {
+		if !registered[f] {
+			t.Errorf("family %s is on neither page", f)
 		}
 	}
 	for _, r := range alert.DefaultRules() {

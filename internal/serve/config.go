@@ -95,13 +95,6 @@ type Config struct {
 	// published version's per-rule baseline fire shares freeze (the drift
 	// denominator). 0 means rulestats.DefaultBaselineMinTx.
 	BaselineMinTx int
-	// RuleLabelCap caps the number of per-rule metric series
-	// (rudolf_rule_fires_total{rule=...} and friends): the first
-	// RuleLabelCap rule indices get their own series, later ones share the
-	// {rule="other"} overflow series, so an unbounded rule set cannot
-	// explode a time-series database. 0 means DefaultRuleLabelCap;
-	// negative means unbounded.
-	RuleLabelCap int
 
 	// DataDir enables durable serving state: analyst feedback and rule-set
 	// publishes are written to a write-ahead log under DataDir/wal, bounded
@@ -162,7 +155,6 @@ const (
 	DefaultRefine           = 120 * time.Second
 	DefaultDrain            = 10 * time.Second
 	DefaultSnapshotInterval = time.Minute
-	DefaultRuleLabelCap     = 128
 	// DefaultSlowRing is the slow-request ring capacity when
 	// Config.SlowRingCapacity is 0.
 	DefaultSlowRing = 64
@@ -294,9 +286,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
-	}
-	if cfg.RuleLabelCap == 0 {
-		cfg.RuleLabelCap = DefaultRuleLabelCap
 	}
 	switch {
 	case cfg.SlowRingCapacity == 0:

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"runtime/metrics"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -13,121 +12,54 @@ import (
 )
 
 // This file is the runtime-introspection surface (DESIGN.md §15): the
-// runtime/metrics collector behind the rudolf_go_* series, the pre-scrape
-// refresh that keeps the window / WAL / slow-ring gauges honest, and the
-// two debug endpoints — GET /v1/debug/slow (the tail-sampled slow-request
-// ring, Chrome-trace or JSON) and GET /v1/debug/state (one consolidated
-// JSON document covering every subsystem that used to be blind).
+// runtime/metrics reads behind the rudolf_go_* series, and the two debug
+// endpoints — GET /v1/debug/slow (the tail-sampled slow-request ring,
+// Chrome-trace or JSON) and GET /v1/debug/state (one consolidated JSON
+// document covering every subsystem that used to be blind).
 
-// runtimeCollector samples runtime/metrics into telemetry series on demand
-// (before every /metrics scrape and /v1/debug/state read), so the runtime
-// view costs nothing between scrapes.
-type runtimeCollector struct {
-	goroutines  *telemetry.Gauge
-	heapBytes   *telemetry.Gauge
-	heapObjects *telemetry.Gauge
-	gcCycles    *telemetry.Gauge
-	gcPause     *telemetry.Histogram
-
-	mu        sync.Mutex
-	samples   []metrics.Sample // pauseSample is the GC pause histogram
-	lastPause []uint64         // previous cumulative pause bucket counts
+// runtimeStats is one runtime/metrics reading of the rudolf_go_* gauges.
+type runtimeStats struct {
+	goroutines, heapBytes, heapObjects, gcCycles int64
 }
 
-// pauseSample is the index of the GC pause histogram in
-// runtimeCollector.samples.
-const pauseSample = 4
-
-func newRuntimeCollector(r *telemetry.Registry) *runtimeCollector {
-	return &runtimeCollector{
-		goroutines:  r.Gauge("rudolf_go_goroutines"),
-		heapBytes:   r.Gauge("rudolf_go_heap_bytes"),
-		heapObjects: r.Gauge("rudolf_go_heap_objects"),
-		gcCycles:    r.Gauge("rudolf_go_gc_cycles"),
-		gcPause:     r.Histogram("rudolf_go_gc_pause_seconds", telemetry.StageBuckets),
-		samples: []metrics.Sample{
-			{Name: "/sched/goroutines:goroutines"},
-			{Name: "/memory/classes/heap/objects:bytes"},
-			{Name: "/gc/heap/objects:objects"},
-			{Name: "/gc/cycles/total:gc-cycles"},
-			pauseSample: {Name: "/sched/pauses/total/gc:seconds"},
-		},
+// readRuntime samples the runtime. Each call reads afresh, so the view
+// costs nothing between scrapes.
+func readRuntime() runtimeStats {
+	samples := []metrics.Sample{
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/heap/objects:objects"},
+		{Name: "/gc/cycles/total:gc-cycles"},
 	}
+	metrics.Read(samples)
+	v := func(i int) int64 {
+		if samples[i].Value.Kind() != metrics.KindUint64 {
+			return 0
+		}
+		return int64(samples[i].Value.Uint64())
+	}
+	return runtimeStats{goroutines: v(0), heapBytes: v(1), heapObjects: v(2), gcCycles: v(3)}
 }
 
-// refresh re-samples the runtime and updates the telemetry series. GC pause
-// counts are cumulative in runtime/metrics, so only the per-bucket deltas
-// since the previous refresh are folded into the telemetry histogram.
-func (rc *runtimeCollector) refresh() {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	metrics.Read(rc.samples)
-	for i := range rc.samples {
-		s := &rc.samples[i]
-		if s.Value.Kind() != metrics.KindUint64 {
-			continue
-		}
-		v := int64(s.Value.Uint64())
-		switch s.Name {
-		case "/sched/goroutines:goroutines":
-			rc.goroutines.Set(v)
-		case "/memory/classes/heap/objects:bytes":
-			rc.heapBytes.Set(v)
-		case "/gc/heap/objects:objects":
-			rc.heapObjects.Set(v)
-		case "/gc/cycles/total:gc-cycles":
-			rc.gcCycles.Set(v)
-		}
-	}
-	if rc.samples[pauseSample].Value.Kind() != metrics.KindFloat64Histogram {
+// gcPauses re-buckets the runtime's cumulative GC pause histogram into h:
+// each runtime bucket's count lands at the bucket's finite edge (the
+// runtime's outermost buckets are unbounded).
+func gcPauses(h *telemetry.Histogram) {
+	sample := []metrics.Sample{{Name: "/sched/pauses/total/gc:seconds"}}
+	metrics.Read(sample)
+	if sample[0].Value.Kind() != metrics.KindFloat64Histogram {
 		return
 	}
-	h := rc.samples[pauseSample].Value.Float64Histogram()
-	if len(rc.lastPause) != len(h.Counts) {
-		rc.lastPause = make([]uint64, len(h.Counts))
-	}
-	for i, c := range h.Counts {
-		if d := c - rc.lastPause[i]; d > 0 {
-			// Attribute the delta to the bucket's finite edge (the runtime's
-			// outermost buckets are unbounded).
-			v := h.Buckets[i]
-			if math.IsInf(v, 0) {
-				v = h.Buckets[i+1]
-			}
-			if !math.IsInf(v, 0) {
-				rc.gcPause.ObserveN(v, d)
-			}
+	rh := sample[0].Value.Float64Histogram()
+	for i, c := range rh.Counts {
+		v := rh.Buckets[i]
+		if math.IsInf(v, 0) {
+			v = rh.Buckets[i+1]
 		}
-		rc.lastPause[i] = c
+		if !math.IsInf(v, 0) {
+			h.ObserveN(v, c)
+		}
 	}
-}
-
-// refreshDebugStats recomputes every derived observability series: runtime
-// gauges, window occupancy and eviction counters, WAL footprint gauges and
-// the slow-ring counters. Called before each /metrics scrape and each
-// /v1/debug/state read — never on the scoring path.
-func (s *Server) refreshDebugStats() {
-	s.debugMu.Lock()
-	defer s.debugMu.Unlock()
-	s.rc.refresh()
-	if s.winStore != nil {
-		s.mWinEntries.Set(s.winStore.Entries())
-		s.mWinWatermark.Set(s.winStore.Watermark())
-		exp, lru := s.winStore.EvictionsByCause()
-		s.mWinEvictExpired.Add(uint64(exp) - s.lastWinEvictExpired)
-		s.lastWinEvictExpired = uint64(exp)
-		s.mWinEvictLRU.Add(uint64(lru) - s.lastWinEvictLRU)
-		s.lastWinEvictLRU = uint64(lru)
-	}
-	if s.wal != nil {
-		st := s.wal.Stats()
-		s.mWALSegments.Set(int64(st.Segments))
-		s.mWALDiskBytes.Set(st.DiskBytes)
-	}
-	ss := s.tracer.SlowStats()
-	s.mSlowPromoted.Add(ss.Promoted - s.lastSlowPromoted)
-	s.lastSlowPromoted = ss.Promoted
-	s.mSlowThreshold.Set(ss.Threshold.Seconds())
 }
 
 // --- GET /v1/debug/slow ----------------------------------------------------
@@ -336,10 +268,11 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 		s.methodNotAllowed(w, r, http.MethodGet)
 		return
 	}
-	s.refreshDebugStats()
 	now := time.Now()
 	st := s.state.Load()
 	ss := s.tracer.SlowStats()
+	rt := readRuntime()
+	pauses, _ := s.reg.FindHistogram("rudolf_go_gc_pause_seconds")
 	traceCap := s.cfg.TraceCapacity
 	if traceCap <= 0 {
 		traceCap = trace.DefaultCapacity
@@ -350,7 +283,7 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 		Version:       st.version,
 		Rules:         st.set.Len(),
 		Workers:       s.cfg.Workers,
-		Inflight:      s.mInflight.Value(),
+		Inflight:      int64(len(s.sem)),
 		Draining:      s.draining.Load(),
 		ScoredTx:      s.mScoreTx.Value(),
 		Trace: debugTraceState{
@@ -368,12 +301,12 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 			ThresholdNS: int64(ss.Threshold),
 		},
 		Runtime: debugRuntimeState{
-			Goroutines:     s.rc.goroutines.Value(),
-			HeapBytes:      s.rc.heapBytes.Value(),
-			HeapObjects:    s.rc.heapObjects.Value(),
-			GCCycles:       s.rc.gcCycles.Value(),
-			GCPauseP50Secs: s.rc.gcPause.Quantile(0.50),
-			GCPauseP99Secs: s.rc.gcPause.Quantile(0.99),
+			Goroutines:     rt.goroutines,
+			HeapBytes:      rt.heapBytes,
+			HeapObjects:    rt.heapObjects,
+			GCCycles:       rt.gcCycles,
+			GCPauseP50Secs: pauses.Quantile(0.50),
+			GCPauseP99Secs: pauses.Quantile(0.99),
 		},
 	}
 	if s.winStore != nil {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/replica"
-	"repro/internal/telemetry"
 )
 
 // followerState is the replication-side state of a following server.
@@ -29,10 +28,6 @@ type followerState struct {
 	snapSeq    atomic.Uint64 // seq of the bootstrap snapshot
 	reconnects atomic.Uint64
 	caughtUp   atomic.Bool
-
-	mApplied    *telemetry.Gauge
-	mLag        *telemetry.Gauge
-	mReconnects *telemetry.Counter
 }
 
 // ready reports whether replay has reached the leader's position as of the
@@ -50,13 +45,18 @@ func (f *followerState) lag() uint64 {
 	return leader - applied
 }
 
-// setApplied advances the applied position, refreshes the gauges and flips
-// readiness once the catch-up target is reached.
+// collect emits the replication series from the follower's own position.
+func (f *followerState) collect(emit func(string, float64)) {
+	emit("rudolf_replica_applied_seq", float64(f.applied.Load()))
+	emit("rudolf_replica_lag_records", float64(f.lag()))
+	emit("rudolf_replica_reconnects_total", float64(f.reconnects.Load()))
+}
+
+// setApplied advances the applied position and flips readiness once the
+// catch-up target is reached.
 func (s *Server) setApplied(seq uint64) {
 	f := s.follower
 	f.applied.Store(seq)
-	f.mApplied.Set(int64(seq))
-	f.mLag.Set(int64(f.lag()))
 	if !f.caughtUp.Load() && f.target.Load() > 0 && seq >= f.target.Load() {
 		f.caughtUp.Store(true)
 		s.log.Info("follower caught up", "leader", f.leaderURL, "applied", seq, "version", s.Version())
@@ -88,16 +88,12 @@ func (s *Server) Follow(ctx context.Context) error {
 				}
 				f.target.Store(t)
 			}
-			f.mLag.Set(int64(f.lag()))
 			if f.applied.Load() >= f.target.Load() {
 				f.caughtUp.Store(true)
 			}
 		},
-		OnApplied: func(seq uint64) { s.setApplied(seq) },
-		OnReconnect: func(err error) {
-			f.reconnects.Add(1)
-			f.mReconnects.Inc()
-		},
+		OnApplied:   func(seq uint64) { s.setApplied(seq) },
+		OnReconnect: func(err error) { f.reconnects.Add(1) },
 	})
 	if err != nil {
 		return err

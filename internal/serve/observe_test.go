@@ -302,7 +302,7 @@ func TestAuditEndpoint(t *testing.T) {
 }
 
 // TestPerRuleMetrics asserts the per-rule series on /metrics, including the
-// drift/staleness gauges refreshed at scrape time and the whole-batch
+// drift/staleness gauges read at scrape time and the whole-batch
 // latency + batch-size histograms.
 func TestPerRuleMetrics(t *testing.T) {
 	schema := testSchema(t)

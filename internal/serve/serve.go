@@ -107,27 +107,16 @@ type Server struct {
 	mScoreAborted *telemetry.Counter
 	mScoreLat     *telemetry.Histogram
 	mBatchSize    *telemetry.Histogram
-	mInflight     *telemetry.Gauge
-	mVersion      *telemetry.Gauge
-	mRuleCount    *telemetry.Gauge
 	mSwaps        *telemetry.Counter
 	mRefines      *telemetry.Counter
-	mCacheHit     *telemetry.Counter
-	mCacheMiss    *telemetry.Counter
 	mRoundDur     *telemetry.Histogram
 	mExpertGen    *telemetry.Counter
 	mExpertSplit  *telemetry.Counter
-	mRefineHits   *telemetry.Counter
-	mRefineMisses *telemetry.Counter
 	mSnapshots    *telemetry.Counter
 	walCounters   wal.Counters
-	// Per-rule metric families, cardinality-capped at Config.RuleLabelCap
-	// distinct rule labels (later rules share the {rule="other"} series).
-	vRuleFires *telemetry.CounterVec
-	vRuleTP    *telemetry.CounterVec
-	vRuleFP    *telemetry.CounterVec
-	vRuleDrift *telemetry.FloatGaugeVec
-	vRuleStale *telemetry.FloatGaugeVec
+	// refineHits and refineMisses sum the capture-cache stats of refinement
+	// sessions, whose caches do not outlive them.
+	refineHits, refineMisses atomic.Uint64
 
 	// Durability (nil / zero when Config.DataDir is empty; see durable.go).
 	wal *wal.Log
@@ -166,26 +155,10 @@ type Server struct {
 	mFeedbackUnlabeled *telemetry.Counter
 
 	// Observability (DESIGN.md §15): the per-stage latency histograms of the
-	// score hot path, the runtime/metrics collector, and the derived gauges
-	// refreshed before every /metrics scrape and /v1/debug/state read.
+	// score hot path. Every series some subsystem already counts is read
+	// from it at read time (see collectReadTime).
 	mStage  [numStages]*telemetry.Histogram
-	rc      *runtimeCollector
 	started time.Time
-	// debugMu serializes refreshDebugStats: syncing the monotone subsystem
-	// counters into telemetry counters needs read-modify-write of the last*
-	// cursors below.
-	debugMu             sync.Mutex
-	mWinEntries         *telemetry.Gauge
-	mWinWatermark       *telemetry.Gauge
-	mWinEvictExpired    *telemetry.Counter
-	mWinEvictLRU        *telemetry.Counter
-	lastWinEvictExpired uint64
-	lastWinEvictLRU     uint64
-	mWALSegments        *telemetry.Gauge
-	mWALDiskBytes       *telemetry.Gauge
-	mSlowPromoted       *telemetry.Counter
-	lastSlowPromoted    uint64
-	mSlowThreshold      *telemetry.FloatGauge
 }
 
 // Version identifies the daemon build in /v1/status and the
@@ -289,9 +262,8 @@ func New(cfg Config) (*Server, error) {
 
 	// The alert engine always exists (GET /v1/alerts and POST /v1/alerts
 	// work even with the ticker disabled); the periodic evaluator only runs
-	// for a positive interval. Prepare refreshes the derived window / WAL /
-	// runtime gauges before each pass — the same refresh /metrics does — so
-	// rules over those series never read stale values.
+	// for a positive interval. It reads the registry /metrics renders, so
+	// both see the same number.
 	alertCfg := alert.Config{
 		Rules:    cfg.AlertRules,
 		Interval: cfg.AlertInterval,
@@ -299,8 +271,7 @@ func New(cfg Config) (*Server, error) {
 			Metrics:   s.reg,
 			RuleStats: s.ruleHealth,
 		},
-		Prepare: s.refreshDebugStats,
-		Logger:  s.log,
+		Logger: s.log,
 	}
 	if cfg.AlertWebhook != "" {
 		alertCfg.Webhook = &alert.WebhookConfig{URL: cfg.AlertWebhook}
@@ -346,9 +317,9 @@ func (s *Server) initMetrics() {
 	r.Help("rudolf_wal_replayed_records_total", "Durable WAL records replayed at boot.")
 	r.Help("rudolf_wal_torn_tail_drops_total", "Torn final WAL records dropped at boot.")
 	r.Help("rudolf_snapshots_total", "Durable snapshots written.")
-	r.Help("rudolf_rule_fires_total", "Scored transactions whose first matching rule this was, by rule index (label cardinality capped; overflow shares rule=\"other\").")
-	r.Help("rudolf_rule_feedback_tp_total", "Fraud-labeled feedback transactions captured, by rule index.")
-	r.Help("rudolf_rule_feedback_fp_total", "Legit-labeled feedback transactions captured, by rule index.")
+	r.Help("rudolf_rule_fires_total", "Scored transactions whose first matching rule this was under the published version, by rule index (the first "+strconv.Itoa(ruleLabelCap)+" rules; the rest sum into rule=\"other\").")
+	r.Help("rudolf_rule_feedback_tp_total", "Fraud-labeled feedback transactions captured under the published version, by rule index.")
+	r.Help("rudolf_rule_feedback_fp_total", "Legit-labeled feedback transactions captured under the published version, by rule index.")
 	r.Help("rudolf_rule_drift", "Per-rule fire-rate drift vs the post-publish baseline (0 = unchanged, 1 = moved by its whole baseline; -1 = not yet measurable).")
 	r.Help("rudolf_rule_last_fired_ago_seconds", "Seconds since the rule last fired under the published version (-1 = never).")
 	r.Help("rudolf_stage_duration_seconds", "Score hot-path latency by stage (decode, acquire, wal_append, window, eval, encode, write); a streamed response alternates encode and write per chunk.")
@@ -365,20 +336,13 @@ func (s *Server) initMetrics() {
 	r.Help("rudolf_go_heap_bytes", "Heap bytes occupied by live objects.")
 	r.Help("rudolf_go_heap_objects", "Live heap objects.")
 	r.Help("rudolf_go_gc_cycles", "Completed GC cycles.")
-	r.Help("rudolf_go_gc_pause_seconds", "GC stop-the-world pause durations (folded from runtime/metrics).")
+	r.Help("rudolf_go_gc_pause_seconds", "GC stop-the-world pause durations (re-bucketed from runtime/metrics).")
 	s.mScoreTx = r.Counter("rudolf_score_tx_total")
 	s.mScoreAborted = r.Counter("rudolf_score_aborted_total")
 	s.mScoreLat = r.Histogram("rudolf_score_latency_seconds", nil)
 	s.mBatchSize = r.Histogram("rudolf_score_batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096})
-	s.mInflight = r.Gauge("rudolf_score_inflight")
-	s.mVersion = r.Gauge("rudolf_rules_version")
-	s.mRuleCount = r.Gauge("rudolf_rules_count")
 	s.mSwaps = r.Counter("rudolf_rule_swaps_total")
 	s.mRefines = r.Counter("rudolf_refines_total")
-	s.mCacheHit = r.Counter(`rudolf_capture_cache_hits_total{caller="serve"}`)
-	s.mCacheMiss = r.Counter(`rudolf_capture_cache_misses_total{caller="serve"}`)
-	s.mRefineHits = r.Counter(`rudolf_capture_cache_hits_total{caller="refine"}`)
-	s.mRefineMisses = r.Counter(`rudolf_capture_cache_misses_total{caller="refine"}`)
 	s.mRoundDur = r.Histogram("rudolf_refine_round_duration_seconds", nil)
 	s.mExpertGen = r.Counter(`rudolf_expert_queries_total{kind="generalization"}`)
 	s.mExpertSplit = r.Counter(`rudolf_expert_queries_total{kind="split"}`)
@@ -386,44 +350,150 @@ func (s *Server) initMetrics() {
 	s.mFeedbackFraud = r.Counter(`rudolf_feedback_tx_total{label="fraud"}`)
 	s.mFeedbackLegit = r.Counter(`rudolf_feedback_tx_total{label="legit"}`)
 	s.mFeedbackUnlabeled = r.Counter(`rudolf_feedback_tx_total{label="unlabeled"}`)
-	lcap := s.cfg.RuleLabelCap
-	s.vRuleFires = r.CounterVec("rudolf_rule_fires_total", "rule", lcap)
-	s.vRuleTP = r.CounterVec("rudolf_rule_feedback_tp_total", "rule", lcap)
-	s.vRuleFP = r.CounterVec("rudolf_rule_feedback_fp_total", "rule", lcap)
-	s.vRuleDrift = r.FloatGaugeVec("rudolf_rule_drift", "rule", lcap)
-	s.vRuleStale = r.FloatGaugeVec("rudolf_rule_last_fired_ago_seconds", "rule", lcap)
 	s.walCounters = wal.Counters{
-		Appends:       r.Counter("rudolf_wal_appends_total"),
-		Fsyncs:        r.Counter("rudolf_wal_fsyncs_total"),
-		Replayed:      r.Counter("rudolf_wal_replayed_records_total"),
-		TornTailDrops: r.Counter("rudolf_wal_torn_tail_drops_total"),
 		AppendSeconds: r.Histogram("rudolf_wal_append_seconds", telemetry.StageBuckets),
 		FsyncSeconds:  r.Histogram("rudolf_wal_fsync_seconds", telemetry.StageBuckets),
 	}
 	for st := stage(0); st < numStages; st++ {
 		s.mStage[st] = r.Histogram(`rudolf_stage_duration_seconds{stage="`+stageNames[st]+`"}`, telemetry.StageBuckets)
 	}
-	s.mWinEntries = r.Gauge("rudolf_window_entries")
-	s.mWinWatermark = r.Gauge("rudolf_window_watermark_minutes")
-	s.mWinEvictExpired = r.Counter(`rudolf_window_evictions_total{cause="expired"}`)
-	s.mWinEvictLRU = r.Counter(`rudolf_window_evictions_total{cause="lru"}`)
-	s.mWALSegments = r.Gauge("rudolf_wal_segments")
-	s.mWALDiskBytes = r.Gauge("rudolf_wal_disk_bytes")
-	s.mSlowPromoted = r.Counter("rudolf_trace_slow_promoted_total")
-	s.mSlowThreshold = r.FloatGauge("rudolf_trace_slow_threshold_seconds")
 	if s.follower != nil {
 		r.Help("rudolf_replica_applied_seq", "Last leader WAL sequence number applied by this follower.")
 		r.Help("rudolf_replica_lag_records", "Records this follower trails the last known leader position.")
 		r.Help("rudolf_replica_reconnects_total", "Times the follower's replication stream reconnected to the leader.")
-		s.follower.mApplied = r.Gauge("rudolf_replica_applied_seq")
-		s.follower.mLag = r.Gauge("rudolf_replica_lag_records")
-		s.follower.mReconnects = r.Counter("rudolf_replica_reconnects_total")
+		r.Collect(map[string]string{
+			"rudolf_replica_applied_seq":      "gauge",
+			"rudolf_replica_lag_records":      "gauge",
+			"rudolf_replica_reconnects_total": "counter",
+		}, s.follower.collect)
 	}
+	s.collectReadTime(r)
 	// Build identity: a constant-1 gauge whose labels carry the versions, the
 	// standard Prometheus idiom for joining build metadata onto any query.
 	r.Help("rudolf_build_info", "Build metadata: constant 1, labeled with the Go runtime version and the daemon version.")
 	r.Gauge(`rudolf_build_info{go_version="` + telemetry.EscapeLabel(runtime.Version()) + `",version="` + telemetry.EscapeLabel(Version) + `"}`).Set(1)
-	s.rc = newRuntimeCollector(r)
+}
+
+// collectReadTime registers the read-time series of the serving state and
+// its subsystems, one source per owner, so each read takes at most that
+// owner's lock once. Nothing here is copied or cached: /metrics, the alert
+// engine and GET /v1/debug/state read the same numbers from the same place.
+func (s *Server) collectReadTime(r *telemetry.Registry) {
+	r.Collect(map[string]string{
+		"rudolf_score_inflight": "gauge",
+		"rudolf_rules_version":  "gauge",
+		"rudolf_rules_count":    "gauge",
+	}, func(emit func(string, float64)) {
+		st := s.state.Load()
+		emit("rudolf_score_inflight", float64(len(s.sem)))
+		emit("rudolf_rules_version", float64(st.version))
+		emit("rudolf_rules_count", float64(st.set.Len()))
+	})
+	r.Collect(map[string]string{
+		"rudolf_rule_fires_total":            "counter",
+		"rudolf_rule_feedback_tp_total":      "counter",
+		"rudolf_rule_feedback_fp_total":      "counter",
+		"rudolf_rule_drift":                  "gauge",
+		"rudolf_rule_last_fired_ago_seconds": "gauge",
+	}, s.collectRuleHealth)
+	r.Collect(map[string]string{
+		"rudolf_capture_cache_hits_total":   "counter",
+		"rudolf_capture_cache_misses_total": "counter",
+	}, func(emit func(string, float64)) {
+		hits, rebinds, _ := s.cache.Stats()
+		emit(`rudolf_capture_cache_hits_total{caller="serve"}`, float64(hits))
+		emit(`rudolf_capture_cache_misses_total{caller="serve"}`, float64(rebinds))
+		emit(`rudolf_capture_cache_hits_total{caller="refine"}`, float64(s.refineHits.Load()))
+		emit(`rudolf_capture_cache_misses_total{caller="refine"}`, float64(s.refineMisses.Load()))
+	})
+	r.Collect(map[string]string{
+		"rudolf_window_entries":           "gauge",
+		"rudolf_window_watermark_minutes": "gauge",
+		"rudolf_window_evictions_total":   "counter",
+	}, func(emit func(string, float64)) {
+		var entries, watermark, expired, lru int64
+		if s.winStore != nil {
+			entries, watermark = s.winStore.Entries(), s.winStore.Watermark()
+			expired, lru = s.winStore.EvictionsByCause()
+		}
+		emit("rudolf_window_entries", float64(entries))
+		emit("rudolf_window_watermark_minutes", float64(watermark))
+		emit(`rudolf_window_evictions_total{cause="expired"}`, float64(expired))
+		emit(`rudolf_window_evictions_total{cause="lru"}`, float64(lru))
+	})
+	r.Collect(map[string]string{
+		"rudolf_wal_appends_total":          "counter",
+		"rudolf_wal_fsyncs_total":           "counter",
+		"rudolf_wal_replayed_records_total": "counter",
+		"rudolf_wal_torn_tail_drops_total":  "counter",
+		"rudolf_wal_segments":               "gauge",
+		"rudolf_wal_disk_bytes":             "gauge",
+	}, func(emit func(string, float64)) {
+		var st wal.Stats
+		if s.wal != nil {
+			st = s.wal.Stats()
+		}
+		emit("rudolf_wal_appends_total", float64(st.Appends))
+		emit("rudolf_wal_fsyncs_total", float64(st.Fsyncs))
+		emit("rudolf_wal_replayed_records_total", float64(st.Replayed))
+		emit("rudolf_wal_torn_tail_drops_total", float64(st.TornTailDrops))
+		emit("rudolf_wal_segments", float64(st.Segments))
+		emit("rudolf_wal_disk_bytes", float64(st.DiskBytes))
+	})
+	r.Collect(map[string]string{
+		"rudolf_trace_slow_promoted_total":    "counter",
+		"rudolf_trace_slow_threshold_seconds": "gauge",
+	}, func(emit func(string, float64)) {
+		ss := s.tracer.SlowStats()
+		emit("rudolf_trace_slow_promoted_total", float64(ss.Promoted))
+		emit("rudolf_trace_slow_threshold_seconds", ss.Threshold.Seconds())
+	})
+	r.Collect(map[string]string{
+		"rudolf_go_goroutines":   "gauge",
+		"rudolf_go_heap_bytes":   "gauge",
+		"rudolf_go_heap_objects": "gauge",
+		"rudolf_go_gc_cycles":    "gauge",
+	}, func(emit func(string, float64)) {
+		rt := readRuntime()
+		emit("rudolf_go_goroutines", float64(rt.goroutines))
+		emit("rudolf_go_heap_bytes", float64(rt.heapBytes))
+		emit("rudolf_go_heap_objects", float64(rt.heapObjects))
+		emit("rudolf_go_gc_cycles", float64(rt.gcCycles))
+	})
+	r.HistogramFunc("rudolf_go_gc_pause_seconds", telemetry.StageBuckets, gcPauses)
+}
+
+// ruleLabelCap bounds the per-rule series: rules past it get none of their
+// own. Their fire and feedback counts sum into rule="other"; their drift
+// and staleness are not exported, since no one value stands for many rules.
+const ruleLabelCap = 128
+
+// collectRuleHealth emits the per-rule families from the published
+// version's health snapshot, the one GET /v1/rules/health serves: only that
+// version's rules appear, and their counters start from zero at its publish.
+func (s *Server) collectRuleHealth(emit func(string, float64)) {
+	rules := s.ruleHealth().Rules
+	var other rulestats.RuleHealth
+	for _, h := range rules {
+		if h.Rule >= ruleLabelCap {
+			other.Fires += h.Fires
+			other.TP += h.TP
+			other.FP += h.FP
+			continue
+		}
+		l := `{rule="` + strconv.Itoa(h.Rule) + `"}`
+		emit("rudolf_rule_fires_total"+l, float64(h.Fires))
+		emit("rudolf_rule_feedback_tp_total"+l, float64(h.TP))
+		emit("rudolf_rule_feedback_fp_total"+l, float64(h.FP))
+		emit("rudolf_rule_drift"+l, h.Drift)
+		emit("rudolf_rule_last_fired_ago_seconds"+l, h.LastFiredAgo)
+	}
+	if len(rules) > ruleLabelCap {
+		const l = `{rule="other"}`
+		emit("rudolf_rule_fires_total"+l, float64(other.Fires))
+		emit("rudolf_rule_feedback_tp_total"+l, float64(other.TP))
+		emit("rudolf_rule_feedback_fp_total"+l, float64(other.FP))
+	}
 }
 
 // publishLocked commits rs as the next version and returns the state it
@@ -443,21 +513,15 @@ func (s *Server) publishLocked(rs *rules.Set, mods []core.Modification, comment 
 // effects of a newly installed version, whichever role installed it and
 // however (live publish, replayed or replicated publish record, snapshot).
 func (s *Server) published(st *ruleState, seq uint64, comment string) {
-	s.mVersion.Set(int64(st.version))
-	s.mRuleCount.Set(int64(st.set.Len()))
 	s.mSwaps.Inc()
 	s.log.Info("rules published", "version", st.version, "rules", st.set.Len(), "seq", seq, "comment", comment)
 }
 
 // captureLocked returns the capture cache bound to the feedback relation
-// and the published rules, counting hits (incremental) vs misses (rebind).
+// and the published rules; the cache counts hits (incremental) vs rebinds.
 // Callers hold s.mu.
 func (s *Server) captureLocked(st *ruleState) *capture.Cache {
-	if rebound := s.cache.Ensure(s.feedback, st.set); rebound {
-		s.mCacheMiss.Inc()
-	} else {
-		s.mCacheHit.Inc()
-	}
+	s.cache.Ensure(s.feedback, st.set)
 	return s.cache
 }
 
@@ -539,17 +603,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/v1/debug/state", http.HandlerFunc(s.handleDebugState))
 	mux.Handle("/healthz", http.HandlerFunc(s.handleHealthz))
 	mux.Handle("/readyz", http.HandlerFunc(s.handleReadyz))
-	metricsHandler := s.reg.Handler()
-	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The drift / staleness gauges are derived state: refresh them from a
-		// health snapshot right before every scrape, so the registry never
-		// serves stale per-rule gauges without putting snapshot cost on the
-		// scoring path. Likewise the window / WAL / runtime / slow-ring
-		// series, refreshed from subsystem stats per scrape.
-		s.refreshRuleGauges()
-		s.refreshDebugStats()
-		metricsHandler.ServeHTTP(w, r)
-	}))
+	mux.Handle("/metrics", s.reg.Handler())
 	mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorID(w, "", http.StatusNotFound, CodeNotFound, "no route %s %s (the API lives under /v1)", r.Method, r.URL.Path)
 	}))
@@ -886,17 +940,13 @@ func (s *Server) buildRelation(txs []txIn, forFeedback bool) (*relation.Relation
 func (s *Server) acquire(ctx context.Context) bool {
 	select {
 	case s.sem <- struct{}{}:
-		s.mInflight.Add(1)
 		return true
 	case <-ctx.Done():
 		return false
 	}
 }
 
-func (s *Server) release() {
-	<-s.sem
-	s.mInflight.Add(-1)
-}
+func (s *Server) release() { <-s.sem }
 
 // handleScore evaluates a batch against exactly one published version.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
@@ -1054,11 +1104,11 @@ func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, during str
 // once the request's own deadline has passed.
 const timeoutReplyGrace = time.Second
 
-// recordScore feeds one batch scored under st into st's health epoch, the
-// per-rule fire counters and (for sampled decisions) the audit ring.
+// recordScore feeds one batch scored under st into st's health epoch and
+// (for sampled decisions) the audit ring.
 func (s *Server) recordScore(requestID string, st *ruleState, rel *relation.Relation, first []int32) {
-	// Aggregate fires per batch so a 4k-tx batch costs the epoch and the
-	// counters at most one add per distinct fired rule.
+	// Aggregate fires per batch so a 4k-tx batch costs the epoch at most one
+	// add per distinct fired rule.
 	nRules := st.set.Len()
 	var counts []uint64
 	for i, ri := range first {
@@ -1080,11 +1130,6 @@ func (s *Server) recordScore(requestID string, st *ruleState, rel *relation.Rela
 		}
 	}
 	st.health.RecordFires(len(first), counts)
-	for ri, n := range counts {
-		if n > 0 {
-			s.vRuleFires.With(strconv.Itoa(ri)).Add(n)
-		}
-	}
 }
 
 // renderAttrs renders one tuple attribute-by-attribute in the schema's
@@ -1255,25 +1300,18 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	// Join the labels against the capturing rules: the per-rule FP/TP
-	// evidence behind GET /v1/rules/health and the feedback counter series.
+	// evidence behind GET /v1/rules/health and the per-rule feedback series.
 	// The join books into the epoch of the st the captures were computed
 	// under, even if a publish has since replaced it.
 	for i, lab := range labels {
 		st.health.RecordFeedback(lab == relation.Fraud, lab == relation.Legitimate, capturing[i])
-		var perRule *telemetry.CounterVec
 		switch lab {
 		case relation.Fraud:
 			s.mFeedbackFraud.Inc()
-			perRule = s.vRuleTP
 		case relation.Legitimate:
 			s.mFeedbackLegit.Inc()
-			perRule = s.vRuleFP
 		default:
 			s.mFeedbackUnlabeled.Inc()
-			continue
-		}
-		for _, ri := range capturing[i] {
-			perRule.With(strconv.Itoa(ri)).Inc()
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -1345,8 +1383,8 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	sess := core.NewSession(old.set, s.cfg.Expert, opts)
 	stats := sess.RefineContext(r.Context(), s.feedback)
 	hits, rebinds, _ := sess.CaptureStats()
-	s.mRefineHits.Add(hits)
-	s.mRefineMisses.Add(rebinds)
+	s.refineHits.Add(hits)
+	s.refineMisses.Add(rebinds)
 	if !s.lockCommit(w, r, "refinement", true) {
 		return
 	}
@@ -1471,16 +1509,6 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 
 // ruleHealth is the published version's health snapshot.
 func (s *Server) ruleHealth() rulestats.Snapshot { return s.state.Load().health.Snapshot() }
-
-// refreshRuleGauges publishes the derived per-rule gauges (drift, staleness)
-// from a fresh health snapshot. Called before every /metrics scrape.
-func (s *Server) refreshRuleGauges() {
-	for _, h := range s.ruleHealth().Rules {
-		label := strconv.Itoa(h.Rule)
-		s.vRuleDrift.With(label).Set(h.Drift)
-		s.vRuleStale.With(label).Set(h.LastFiredAgo)
-	}
-}
 
 // handleSchema serves the schema JSON so clients (cmd/loadgen) can
 // self-configure.

@@ -1,19 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-)
-
-// This file adds the minimal labels machinery the per-rule observability
-// series need: proper Prometheus label-value escaping, and capped "vectors"
-// of counters / float gauges that degrade to a shared {label="other"}
-// series once a cardinality budget is spent. Per-rule series
-// (rudolf_rule_fires_total{rule="17"}) are exactly the kind of family that
-// silently explodes a time-series database when rule sets grow unbounded,
-// so the cap is enforced at the registry boundary, not by caller
-// discipline.
+import "strings"
 
 // EscapeLabel escapes a label value per the Prometheus text exposition
 // format: backslash, double quote and newline are escaped; everything else
@@ -37,76 +24,4 @@ func EscapeLabel(v string) string {
 		}
 	}
 	return b.String()
-}
-
-// OverflowLabel is the label value the capped vectors fall back to once
-// their cardinality budget is exhausted.
-const OverflowLabel = "other"
-
-// vec is the shared get-or-create-with-cap core of CounterVec and
-// FloatGaugeVec.
-type vec struct {
-	reg   *Registry
-	base  string
-	label string
-	cap   int
-
-	mu   sync.Mutex
-	seen map[string]string // raw value -> full series name
-}
-
-// seriesFor returns the full series name for a raw label value, creating at
-// most cap distinct series before collapsing everything else onto the
-// OverflowLabel series.
-func (v *vec) seriesFor(value string) string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if name, ok := v.seen[value]; ok {
-		return name
-	}
-	if v.cap > 0 && len(v.seen) >= v.cap {
-		return fmt.Sprintf("%s{%s=%q}", v.base, v.label, OverflowLabel)
-	}
-	name := fmt.Sprintf(`%s{%s="%s"}`, v.base, v.label, EscapeLabel(value))
-	v.seen[value] = name
-	return name
-}
-
-// CounterVec is a family of counters sharing one base name and one label,
-// with a hard cardinality cap: the first maxSeries distinct label values get
-// their own series, every later value shares the {label="other"} series.
-type CounterVec struct {
-	v vec
-}
-
-// CounterVec returns a capped counter family. maxSeries <= 0 means
-// unbounded (no cap).
-func (r *Registry) CounterVec(base, label string, maxSeries int) *CounterVec {
-	return &CounterVec{v: vec{reg: r, base: base, label: label, cap: maxSeries, seen: make(map[string]string)}}
-}
-
-// With returns the counter for the given label value (or the shared
-// overflow counter once the cap is hit). The returned counter may be
-// retained: lookups after the first are a map hit plus the registry's
-// get-or-create.
-func (cv *CounterVec) With(value string) *Counter {
-	return cv.v.reg.Counter(cv.v.seriesFor(value))
-}
-
-// FloatGaugeVec is a family of float gauges sharing one base name and one
-// label, with the same cardinality cap behavior as CounterVec.
-type FloatGaugeVec struct {
-	v vec
-}
-
-// FloatGaugeVec returns a capped float-gauge family. maxSeries <= 0 means
-// unbounded.
-func (r *Registry) FloatGaugeVec(base, label string, maxSeries int) *FloatGaugeVec {
-	return &FloatGaugeVec{v: vec{reg: r, base: base, label: label, cap: maxSeries, seen: make(map[string]string)}}
-}
-
-// With returns the float gauge for the given label value (or the shared
-// overflow gauge once the cap is hit).
-func (gv *FloatGaugeVec) With(value string) *FloatGauge {
-	return gv.v.reg.FloatGauge(gv.v.seriesFor(value))
 }

@@ -34,10 +34,11 @@ func TestLabelEscapingRoundTrip(t *testing.T) {
 		`back\slash`,
 		"new\nline",
 	}
-	cv := reg.CounterVec("rudolf_rule_fires_total", "rule", 0)
-	for i, v := range hostile {
-		cv.With(v).Add(uint64(i + 1))
-	}
+	reg.Collect(map[string]string{"rudolf_rule_fires_total": "counter"}, func(emit func(string, float64)) {
+		for i, v := range hostile {
+			emit(`rudolf_rule_fires_total{rule="`+EscapeLabel(v)+`"}`, float64(i+1))
+		}
+	})
 	var b strings.Builder
 	if _, err := reg.WriteTo(&b); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -70,7 +71,7 @@ func TestHistogramScrapeWithHostileLabels(t *testing.T) {
 	for _, v := range []float64{0.005, 0.05, 0.5, 2} {
 		h.Observe(v)
 	}
-	reg.CounterVec("rudolf_rule_fires_total", "rule", 0).With(`rule "a" {weird, name}`).Inc()
+	reg.Counter(`rudolf_rule_fires_total{rule="` + EscapeLabel(`rule "a" {weird, name}`) + `"}`).Inc()
 	var b strings.Builder
 	if _, err := reg.WriteTo(&b); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -87,58 +88,102 @@ func TestHistogramScrapeWithHostileLabels(t *testing.T) {
 	}
 }
 
-func TestCounterVecCardinalityCap(t *testing.T) {
+// TestCollectReadsAtReadTime: a read-time family renders with its declared
+// TYPE, floats included; WriteTo and Value read the source afresh each time,
+// with nothing to refresh; and a family that emits no series is absent.
+func TestCollectReadsAtReadTime(t *testing.T) {
 	reg := NewRegistry()
-	cv := reg.CounterVec("rudolf_rule_fires_total", "rule", 3)
-	for i := 0; i < 10; i++ {
-		cv.With(string(rune('a' + i))).Inc()
-	}
-	// Known values keep resolving to their own series after the cap.
-	cv.With("a").Inc()
-	var b strings.Builder
-	if _, err := reg.WriteTo(&b); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	page := b.String()
-	if got, _ := ScrapeValue(page, `rudolf_rule_fires_total{rule="a"}`); got != 2 {
-		t.Fatalf(`rule="a" = %v, want 2`, got)
-	}
-	if got, _ := ScrapeValue(page, `rudolf_rule_fires_total{rule="c"}`); got != 1 {
-		t.Fatalf(`rule="c" = %v, want 1`, got)
-	}
-	// d..j (7 values) all collapsed onto the overflow series.
-	if got, _ := ScrapeValue(page, `rudolf_rule_fires_total{rule="other"}`); got != 7 {
-		t.Fatalf(`rule="other" = %v, want 7`, got)
-	}
-	if _, ok := ScrapeValue(page, `rudolf_rule_fires_total{rule="d"}`); ok {
-		t.Fatal(`rule="d" must not exist past the cap`)
-	}
-}
-
-func TestFloatGaugeVecCapAndRendering(t *testing.T) {
-	reg := NewRegistry()
-	gv := reg.FloatGaugeVec("rudolf_rule_drift", "rule", 2)
-	gv.With("0").Set(0.25)
-	gv.With("1").Set(1.5)
-	gv.With("2").Set(9.75) // over the cap: lands on "other"
-	gv.With("0").Set(0.75) // overwrite, gauge semantics
+	reg.Help("rudolf_rule_drift", "drift")
+	drift, fires := 0.25, 3.0
+	reg.Collect(map[string]string{
+		"rudolf_rule_drift":       "gauge",
+		"rudolf_rule_fires_total": "counter",
+		"rudolf_empty":            "gauge",
+	}, func(emit func(string, float64)) {
+		emit(`rudolf_rule_drift{rule="0"}`, drift)
+		emit(`rudolf_rule_drift{rule="1"}`, 1.5)
+		emit(`rudolf_rule_fires_total{rule="0"}`, fires)
+	})
+	drift, fires = 0.75, 5 // no refresh: the next read sees it
 	var b strings.Builder
 	if _, err := reg.WriteTo(&b); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	page := b.String()
 	for series, want := range map[string]float64{
-		`rudolf_rule_drift{rule="0"}`:     0.75,
-		`rudolf_rule_drift{rule="1"}`:     1.5,
-		`rudolf_rule_drift{rule="other"}`: 9.75,
+		`rudolf_rule_drift{rule="0"}`:       0.75,
+		`rudolf_rule_drift{rule="1"}`:       1.5,
+		`rudolf_rule_fires_total{rule="0"}`: 5,
 	} {
 		if got, ok := ScrapeValue(page, series); !ok || got != want {
 			t.Fatalf("%s = %v/%v, want %v", series, got, ok, want)
 		}
+		if got, ok := reg.Value(series); !ok || got != want {
+			t.Fatalf("Value(%s) = %v/%v, want %v", series, got, ok, want)
+		}
 	}
-	if !strings.Contains(page, "# TYPE rudolf_rule_drift gauge") {
-		t.Fatalf("float gauge family must render as TYPE gauge:\n%s", page)
+	for _, want := range []string{"# HELP rudolf_rule_drift drift", "# TYPE rudolf_rule_drift gauge", "# TYPE rudolf_rule_fires_total counter"} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("page lacks %q:\n%s", want, page)
+		}
 	}
+	if strings.Contains(page, "rudolf_empty") {
+		t.Fatalf("a family with no series must not render:\n%s", page)
+	}
+	if _, ok := reg.Value(`rudolf_rule_drift{rule="2"}`); ok {
+		t.Fatal("Value of a series the source does not emit must report no data")
+	}
+}
+
+// TestHistogramFuncFillsPerRead: every read of a read-time histogram fills
+// a fresh one, so WriteTo and FindHistogram agree and nothing accumulates.
+func TestHistogramFuncFillsPerRead(t *testing.T) {
+	reg := NewRegistry()
+	n := uint64(2)
+	reg.HistogramFunc("pause_seconds", []float64{0.01, 0.1}, func(h *Histogram) { h.ObserveN(0.05, n) })
+	for i := 0; i < 2; i++ {
+		h, ok := reg.FindHistogram("pause_seconds")
+		if !ok || h.Count() != 2 || h.Sum() != 0.1 {
+			t.Fatalf("read %d: FindHistogram = %v/%v, want 2 observations summing to 0.1", i, h, ok)
+		}
+	}
+	n = 3
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	sh, err := ScrapeHistogram(strings.NewReader(b.String()), "pause_seconds")
+	if err != nil || sh.Total != 3 || sh.Cum[0] != 0 || sh.Cum[1] != 3 {
+		t.Fatalf("scraped %+v, %v; want 3 observations in the 0.1 bucket", sh, err)
+	}
+}
+
+// TestReadTimeFamilyOwnership: a family is stored or read at read time,
+// never both, and a source may only emit the families it declared.
+func TestReadTimeFamilyOwnership(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: want a panic", what)
+			}
+		}()
+		f()
+	}
+	reg := NewRegistry()
+	reg.Counter(`stored_total{a="1"}`)
+	reg.Collect(map[string]string{"read_total": "counter"}, func(emit func(string, float64)) { emit("other_total", 1) })
+	mustPanic("stored series in a read-time family", func() { reg.Counter(`read_total{a="1"}`) })
+	mustPanic("read-time family over stored series", func() {
+		reg.Collect(map[string]string{"stored_total": "counter"}, func(func(string, float64)) {})
+	})
+	mustPanic("read-time family registered twice", func() {
+		reg.Collect(map[string]string{"read_total": "counter"}, func(func(string, float64)) {})
+	})
+	mustPanic("unknown kind", func() { reg.Collect(map[string]string{"h": "histogram"}, func(func(string, float64)) {}) })
+	mustPanic("undeclared series", func() { reg.Value("read_total") })
+	reg.HistogramFunc("h_seconds", nil, func(*Histogram) {})
+	mustPanic("stored histogram over a read-time one", func() { reg.Histogram("h_seconds", nil) })
 }
 
 func TestSplitSeriesEdgeCases(t *testing.T) {

@@ -2,11 +2,13 @@
 // online scoring service: counters, gauges and fixed-bucket histograms with
 // atomic updates, rendered in the Prometheus text exposition format by an
 // http.Handler. It is deliberately minimal — no labels machinery beyond
-// literal label suffixes in series names, no runtime re-bucketing — because
-// the serving daemon (internal/serve) needs exactly four things: request and
-// transaction counters, the published rules version, score-latency
-// percentiles, and the capture-cache hit rate, all readable by a scrape or
-// by cmd/loadgen's report.
+// literal label suffixes in series names.
+//
+// A series is either stored (Counter, Gauge, Histogram: the registry owns
+// the number and the caller updates it) or read at read time (Collect,
+// HistogramFunc: some subsystem already holds the number, and WriteTo,
+// Value and FindHistogram ask it). A read-time series has no copy to fall
+// stale and nothing to refresh before a scrape.
 //
 // Series names may carry a literal label set, e.g.
 //
@@ -50,23 +52,8 @@ type Gauge struct {
 // Set stores n.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adds delta (use a negative delta to decrement).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatGauge is a gauge holding a float64 (drift scores, staleness
-// seconds). Atomic bit-stored, so Set/Value never lock.
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed cumulative-on-render buckets.
 // Observations, sums and counts are all atomics, so concurrent Observe calls
@@ -96,7 +83,11 @@ var StageBuckets = []float64{
 	1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1,
 }
 
+// newHistogram returns an empty histogram over uppers (DefBuckets when nil).
 func newHistogram(uppers []float64) *Histogram {
+	if uppers == nil {
+		uppers = DefBuckets
+	}
 	us := append([]float64(nil), uppers...)
 	sort.Float64s(us)
 	return &Histogram{uppers: us, buckets: make([]atomic.Uint64, len(us)+1)}
@@ -116,10 +107,9 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveN records n observations of value v in one shot. The runtime
-// collector uses it to fold per-bucket deltas of cumulative runtime/metrics
-// histograms (GC pauses) into a telemetry histogram without n separate
-// atomic round trips.
+// ObserveN records n observations of value v in one shot: a HistogramFunc
+// fill re-buckets a distribution someone else counts (the runtime's GC
+// pauses) without n separate atomic round trips.
 func (h *Histogram) ObserveN(v float64, n uint64) {
 	if n == 0 {
 		return
@@ -226,40 +216,95 @@ func QuantileFromBuckets(uppers []float64, cum []uint64, total uint64, q float64
 	return uppers[len(uppers)-1] // rank lies in the +Inf bucket: clamp
 }
 
-// metric is one registered series.
+// metric is one registered series: a stored counter, gauge or histogram,
+// or a read-time histogram (fill set).
 type metric struct {
 	name string // full series name, possibly with {labels}
 	base string // name before '{'
-	help string
 	c    *Counter
 	g    *Gauge
-	fg   *FloatGauge
 	h    *Histogram
+	// fill makes the series a read-time histogram: every read fills a fresh
+	// histogram with h's bounds (h itself stays empty).
+	fill func(*Histogram)
 }
 
 func (m *metric) kind() string {
 	switch {
 	case m.c != nil:
 		return "counter"
-	case m.g != nil, m.fg != nil:
+	case m.g != nil:
 		return "gauge"
 	default:
 		return "histogram"
 	}
 }
 
+// histogram returns the series' histogram as of now.
+func (m *metric) histogram() *Histogram {
+	if m.fill == nil {
+		return m.h
+	}
+	h := newHistogram(m.h.uppers)
+	m.fill(h)
+	return h
+}
+
+// sample is one series as of one read.
+type sample struct {
+	name, base, kind string
+	v                float64    // counter or gauge value
+	h                *Histogram // histogram series
+}
+
+func (m *metric) sample() sample {
+	s := sample{name: m.name, base: m.base, kind: m.kind()}
+	switch {
+	case m.c != nil:
+		s.v = float64(m.c.Value())
+	case m.g != nil:
+		s.v = float64(m.g.Value())
+	default:
+		s.h = m.histogram()
+	}
+	return s
+}
+
+// source is one read-time producer registered with Collect.
+type source struct {
+	kinds map[string]string // family base name -> "counter" or "gauge"
+	read  func(emit func(name string, v float64))
+}
+
+// samples calls read once and returns what it emitted.
+func (src *source) samples() []sample {
+	var out []sample
+	src.read(func(name string, v float64) {
+		base := baseName(name)
+		kind, ok := src.kinds[base]
+		if !ok {
+			panic(fmt.Sprintf("telemetry: read-time series %q is outside the families its source declared", name))
+		}
+		out = append(out, sample{name: name, base: base, kind: kind, v: v})
+	})
+	return out
+}
+
 // Registry holds named series and renders them in the Prometheus text
-// format. Get-or-create lookups lock briefly; metric updates are lock-free.
+// format. Registration and lookups lock briefly; stored metric updates are
+// lock-free, and read-time sources run outside the lock.
 type Registry struct {
 	mu      sync.Mutex
 	series  map[string]*metric
 	ordered []*metric // creation order for stable-ish rendering
 	help    map[string]string
+	sources []*source
+	owner   map[string]*source // read-time family base name -> its source
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{series: make(map[string]*metric), help: make(map[string]string)}
+	return &Registry{series: make(map[string]*metric), help: make(map[string]string), owner: make(map[string]*source)}
 }
 
 func baseName(name string) string {
@@ -277,100 +322,100 @@ func (r *Registry) Help(base, text string) {
 	r.mu.Unlock()
 }
 
-func (r *Registry) lookup(name string) (*metric, bool) {
-	m, ok := r.series[name]
-	return m, ok
+// register returns the series called name, adding m under that name on
+// first use. It panics if the name is taken by another kind, if either
+// side is a read-time histogram, or if the family is read at read time.
+func (r *Registry) register(name string, m *metric) *metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old, ok := r.series[name]; ok {
+		if old.kind() != m.kind() || old.fill != nil || m.fill != nil {
+			panic(fmt.Sprintf("telemetry: %q is already registered as a %s", name, old.kind()))
+		}
+		return old
+	}
+	m.name, m.base = name, baseName(name)
+	if r.owner[m.base] != nil {
+		panic(fmt.Sprintf("telemetry: %q belongs to a read-time family", name))
+	}
+	r.series[name] = m
+	r.ordered = append(r.ordered, m)
+	return m
 }
 
 // Counter returns the counter series with the given name, creating it on
 // first use. It panics if the name is already registered as another kind.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.lookup(name); ok {
-		if m.c == nil {
-			panic(fmt.Sprintf("telemetry: %q is a %s, not a counter", name, m.kind()))
-		}
-		return m.c
-	}
-	m := &metric{name: name, base: baseName(name), c: &Counter{}}
-	r.series[name] = m
-	r.ordered = append(r.ordered, m)
-	return m.c
+	return r.register(name, &metric{c: &Counter{}}).c
 }
 
 // Gauge returns the gauge series with the given name, creating it on first
 // use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.lookup(name); ok {
-		if m.g == nil {
-			panic(fmt.Sprintf("telemetry: %q is a %s, not a gauge", name, m.kind()))
-		}
-		return m.g
-	}
-	m := &metric{name: name, base: baseName(name), g: &Gauge{}}
-	r.series[name] = m
-	r.ordered = append(r.ordered, m)
-	return m.g
-}
-
-// FloatGauge returns the float-gauge series with the given name, creating
-// it on first use.
-func (r *Registry) FloatGauge(name string) *FloatGauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.lookup(name); ok {
-		if m.fg == nil {
-			panic(fmt.Sprintf("telemetry: %q is a %s, not a float gauge", name, m.kind()))
-		}
-		return m.fg
-	}
-	m := &metric{name: name, base: baseName(name), fg: &FloatGauge{}}
-	r.series[name] = m
-	r.ordered = append(r.ordered, m)
-	return m.fg
+	return r.register(name, &metric{g: &Gauge{}}).g
 }
 
 // Histogram returns the histogram series with the given name and upper
 // bounds (DefBuckets when uppers is nil), creating it on first use.
 func (r *Registry) Histogram(name string, uppers []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.lookup(name); ok {
-		if m.h == nil {
-			panic(fmt.Sprintf("telemetry: %q is a %s, not a histogram", name, m.kind()))
-		}
-		return m.h
-	}
-	if uppers == nil {
-		uppers = DefBuckets
-	}
-	m := &metric{name: name, base: baseName(name), h: newHistogram(uppers)}
-	r.series[name] = m
-	r.ordered = append(r.ordered, m)
-	return m.h
+	return r.register(name, &metric{h: newHistogram(uppers)}).h
 }
 
-// Value returns the current value of the scalar series with the exact given
-// name (counter, gauge or float gauge, labels included). It reports false
-// for names that are not registered or name a histogram — absence is a
-// signal of its own to consumers like the alert engine (no data ≠ zero).
+// HistogramFunc registers name as a read-time histogram: every WriteTo and
+// FindHistogram hands fill a fresh, empty histogram with the given bounds
+// (DefBuckets when nil) to fill, typically with ObserveN, from whatever
+// already holds the distribution.
+func (r *Registry) HistogramFunc(name string, uppers []float64, fill func(h *Histogram)) {
+	r.register(name, &metric{h: newHistogram(uppers), fill: fill})
+}
+
+// Collect registers a read-time source for the families named in kinds
+// (base name -> "counter" or "gauge"). Every WriteTo calls read once, and
+// so does every Value of one of the source's series; read reports each
+// current series through emit, full name (labels included) and value, and
+// must be safe to call concurrently. The registry keeps no copy: a value
+// reaches the page only from the subsystem that holds it, and a family that
+// emits no series is not rendered. One read can serve several families, so
+// a source that must lock to read takes its lock once per scrape.
+func (r *Registry) Collect(kinds map[string]string, read func(emit func(name string, v float64))) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	src := &source{kinds: kinds, read: read}
+	for base, kind := range kinds {
+		if kind != "counter" && kind != "gauge" {
+			panic(fmt.Sprintf("telemetry: read-time family %q has kind %q, want counter or gauge", base, kind))
+		}
+		if r.owner[base] != nil {
+			panic(fmt.Sprintf("telemetry: read-time family %q registered twice", base))
+		}
+		for _, m := range r.ordered {
+			if m.base == base {
+				panic(fmt.Sprintf("telemetry: family %q already has stored series", base))
+			}
+		}
+		r.owner[base] = src
+	}
+	r.sources = append(r.sources, src)
+}
+
+// Value returns the current value of the counter or gauge series with the
+// exact given name (labels included), stored or read-time. It reports
+// false for names that are not registered or name a histogram — absence is
+// a signal of its own to consumers like the alert engine (no data ≠ zero).
 func (r *Registry) Value(name string) (float64, bool) {
 	r.mu.Lock()
-	m, ok := r.lookup(name)
+	m, ok := r.series[name]
+	src := r.owner[baseName(name)]
 	r.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
 	switch {
-	case m.c != nil:
-		return float64(m.c.Value()), true
-	case m.g != nil:
-		return float64(m.g.Value()), true
-	case m.fg != nil:
-		return m.fg.Value(), true
+	case ok && m.h == nil:
+		return m.sample().v, true
+	case src != nil:
+		for _, s := range src.samples() {
+			if s.name == name {
+				return s.v, true
+			}
+		}
 	}
 	return 0, false
 }
@@ -378,15 +423,16 @@ func (r *Registry) Value(name string) (float64, bool) {
 // FindHistogram returns the histogram series registered under the exact
 // given name (labels included), without creating it — the read-side
 // counterpart of Histogram for consumers that must distinguish "no such
-// series" from "series with no observations".
+// series" from "series with no observations". A read-time histogram is
+// filled fresh by each call.
 func (r *Registry) FindHistogram(name string) (*Histogram, bool) {
 	r.mu.Lock()
-	m, ok := r.lookup(name)
+	m, ok := r.series[name]
 	r.mu.Unlock()
 	if !ok || m.h == nil {
 		return nil, false
 	}
-	return m.h, true
+	return m.histogram(), true
 }
 
 // labelJoin splices an extra label (le="...") into a series name that may
@@ -415,18 +461,26 @@ func formatFloat(v float64) string {
 }
 
 // WriteTo renders every registered series in the Prometheus text exposition
-// format. Families are ordered by base name; series within a family keep
-// creation order.
+// format, calling each read-time source once. Families are ordered by base
+// name; series within a family keep creation (or emit) order.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
 	ms := append([]*metric(nil), r.ordered...)
+	srcs := append([]*source(nil), r.sources...)
 	help := make(map[string]string, len(r.help))
 	for k, v := range r.help {
 		help[k] = v
 	}
 	r.mu.Unlock()
 
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].base < ms[j].base })
+	all := make([]sample, 0, len(ms))
+	for _, m := range ms {
+		all = append(all, m.sample())
+	}
+	for _, src := range srcs {
+		all = append(all, src.samples()...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].base < all[j].base })
 
 	var n int64
 	pr := func(format string, args ...any) error {
@@ -435,48 +489,39 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		return err
 	}
 	lastBase := ""
-	for _, m := range ms {
-		if m.base != lastBase {
-			lastBase = m.base
-			if h := help[m.base]; h != "" {
-				if err := pr("# HELP %s %s\n", m.base, h); err != nil {
+	for _, s := range all {
+		if s.base != lastBase {
+			lastBase = s.base
+			if h := help[s.base]; h != "" {
+				if err := pr("# HELP %s %s\n", s.base, h); err != nil {
 					return n, err
 				}
 			}
-			if err := pr("# TYPE %s %s\n", m.base, m.kind()); err != nil {
+			if err := pr("# TYPE %s %s\n", s.base, s.kind); err != nil {
 				return n, err
 			}
 		}
-		switch {
-		case m.c != nil:
-			if err := pr("%s %d\n", m.name, m.c.Value()); err != nil {
+		if s.h == nil {
+			if err := pr("%s %s\n", s.name, formatFloat(s.v)); err != nil {
 				return n, err
 			}
-		case m.g != nil:
-			if err := pr("%s %d\n", m.name, m.g.Value()); err != nil {
+			continue
+		}
+		cum, total := s.h.snapshot()
+		for i, up := range s.h.uppers {
+			le := fmt.Sprintf(`le="%s"`, formatFloat(up))
+			if err := pr("%s %d\n", labelJoin(suffixed(s.name, "_bucket"), le), cum[i]); err != nil {
 				return n, err
 			}
-		case m.fg != nil:
-			if err := pr("%s %s\n", m.name, formatFloat(m.fg.Value())); err != nil {
-				return n, err
-			}
-		case m.h != nil:
-			cum, total := m.h.snapshot()
-			for i, up := range m.h.uppers {
-				le := fmt.Sprintf(`le="%s"`, formatFloat(up))
-				if err := pr("%s %d\n", labelJoin(suffixed(m.name, "_bucket"), le), cum[i]); err != nil {
-					return n, err
-				}
-			}
-			if err := pr("%s %d\n", labelJoin(suffixed(m.name, "_bucket"), `le="+Inf"`), total); err != nil {
-				return n, err
-			}
-			if err := pr("%s %s\n", suffixed(m.name, "_sum"), formatFloat(m.h.Sum())); err != nil {
-				return n, err
-			}
-			if err := pr("%s %d\n", suffixed(m.name, "_count"), total); err != nil {
-				return n, err
-			}
+		}
+		if err := pr("%s %d\n", labelJoin(suffixed(s.name, "_bucket"), `le="+Inf"`), total); err != nil {
+			return n, err
+		}
+		if err := pr("%s %s\n", suffixed(s.name, "_sum"), formatFloat(s.h.Sum())); err != nil {
+			return n, err
+		}
+		if err := pr("%s %d\n", suffixed(s.name, "_count"), total); err != nil {
+			return n, err
 		}
 	}
 	return n, nil

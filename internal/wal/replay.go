@@ -51,7 +51,6 @@ func (l *Log) replaySegment(path string, first uint64, final bool, replay func(E
 				l.log.Warn("wal: dropping torn tail record",
 					"segment", name, "seq", want, "offset", offset, "reason", reason)
 				l.stats.torn++
-				inc(l.opts.Counters.TornTailDrops)
 				return offset, want - 1, n, nil
 			}
 			reason := "truncated"
@@ -67,7 +66,6 @@ func (l *Log) replaySegment(path string, first uint64, final bool, replay func(E
 			}
 		}
 		l.stats.replayed++
-		inc(l.opts.Counters.Replayed)
 		n++
 		lastGood = want
 		want++

@@ -72,26 +72,14 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 // Counters are optional telemetry hooks; nil fields are simply not counted.
+// The log's counts (appends, fsyncs, replayed records, torn tails) are not
+// hooks: they live in the log and are read through Stats.
 type Counters struct {
-	// Appends counts records appended to the log.
-	Appends *telemetry.Counter
-	// Fsyncs counts fsync(2) calls issued by the log.
-	Fsyncs *telemetry.Counter
-	// Replayed counts durable records delivered during Open.
-	Replayed *telemetry.Counter
-	// TornTailDrops counts torn final records dropped during Open.
-	TornTailDrops *telemetry.Counter
 	// AppendSeconds observes the latency of each record append (framing and
 	// the write(2), excluding any synchronous fsync).
 	AppendSeconds *telemetry.Histogram
 	// FsyncSeconds observes the latency of each fsync(2) issued by the log.
 	FsyncSeconds *telemetry.Histogram
-}
-
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }
 
 func observe(h *telemetry.Histogram, d time.Duration) {
@@ -302,7 +290,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.dirty = true
 	l.notifyLocked()
 	l.stats.appends++
-	inc(l.opts.Counters.Appends)
 	observe(l.opts.Counters.AppendSeconds, time.Since(start))
 	sp.Int("seq", int64(seq))
 	sp.Int("bytes", int64(len(l.buf)))
@@ -340,7 +327,6 @@ func (l *Log) fsyncLocked() error {
 	}
 	l.dirty = false
 	l.stats.fsyncs++
-	inc(l.opts.Counters.Fsyncs)
 	observe(l.opts.Counters.FsyncSeconds, time.Since(start))
 	return nil
 }
@@ -453,7 +439,6 @@ func (l *Log) Close() error {
 		if l.dirty {
 			if serr := l.f.Sync(); serr == nil {
 				l.stats.fsyncs++
-				inc(l.opts.Counters.Fsyncs)
 			} else {
 				err = serr
 			}
