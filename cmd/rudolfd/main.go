@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rudolfd [-addr 127.0.0.1:8080] [-schema schema.json -rules rules.txt]
-//	        [-history history.json | -data-dir state/ | -follow URL]
+//	        [-data-dir state/ | -follow URL] [-size N] [-seed N]
 //	        [-workers N] [-max-batch N] [-drain 10s]
 //	        [-fsync always|interval|never] [-fsync-interval 100ms]
 //	        [-snapshot-interval 1m] [-wal-segment-bytes N]
@@ -64,8 +64,10 @@
 // periodic snapshots bound replay time, and a restart (graceful or kill -9)
 // replays snapshot+WAL before the listener accepts traffic, so /readyz
 // never reports ready with half-restored state. SIGINT/SIGTERM drains
-// gracefully: /readyz flips to 503, in-flight requests finish, the durable
-// state is flushed (or, without -data-dir, -history is written back).
+// gracefully: /readyz flips to 503, in-flight requests finish, and the
+// durable state is flushed. Without -data-dir the state lives in memory
+// only. The daemon's flags set serve.Config fields directly
+// (cli.ServeFlags), so each knob is named, documented and defaulted once.
 //
 // -follow <leader-url> runs the daemon as a read-only replication follower
 // (DESIGN.md §16): it fetches the schema from the leader, bootstraps from
@@ -97,35 +99,13 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-		addrFile    = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-		schemaPath  = flag.String("schema", "", "schema JSON (empty: the built-in synthetic FI schema)")
-		rulesPath   = flag.String("rules", "", "rule file (empty: the FI's generated incumbent rules)")
-		histPath    = flag.String("history", "", "JSON rule history to continue and persist on shutdown")
-		dataDir     = flag.String("data-dir", "", "durable state directory (WAL + snapshots); replayed on boot")
-		followURL   = flag.String("follow", "", "run as a read-only replication follower of the leader at this base URL (e.g. http://leader:8080)")
-		fsync       = flag.String("fsync", "", "WAL fsync policy: always, interval or never (default always; requires -data-dir)")
-		fsyncIvl    = flag.Duration("fsync-interval", 0, "flush period under -fsync interval (0: default)")
-		snapIvl     = flag.Duration("snapshot-interval", 0, "periodic snapshot interval (0: default; negative: only on shutdown)")
-		walSegBytes = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0: default)")
-		size        = flag.Int("size", 2000, "synthetic dataset size (when -schema is empty)")
-		seed        = flag.Int64("seed", 1, "synthetic dataset seed")
-		workers     = flag.Int("workers", 0, "concurrent scoring evaluations (0: 2x GOMAXPROCS)")
-		maxBatch    = flag.Int("max-batch", 0, "max transactions per request (0: default)")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
-		logFormat   = flag.String("log-format", "text", "log format: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		debugAddr   = flag.String("debug-addr", "", "separate listener for net/http/pprof (empty: disabled)")
-		traceCap    = flag.Int("trace-capacity", 0, "span ring-buffer capacity served by GET /v1/trace (0: default)")
-		slowRing    = flag.Int("slow-ring", 0, "tail-sampled slow-request ring capacity served by GET /v1/debug/slow (0: default; negative: disabled)")
-		slowFloor   = flag.Duration("slow-floor", 0, "promote any request at least this slow into the slow ring (0: adaptive p99 only)")
-		auditRing   = flag.Int("audit-ring", 0, "sampled decision audit ring capacity served by GET /v1/audit (0: default; negative: disabled)")
-		auditSample = flag.Int("audit-sample", 0, "audit 1-in-N decision sampling rate (0: default; 1: every decision)")
-		driftHalf   = flag.Duration("drift-half-life", 0, "EWMA half-life for per-rule fire-rate drift in GET /v1/rules/health (0: default)")
-		alertsPath  = flag.String("alerts", "", "declarative alert-rule file (empty: the compiled-in SLO defaults)")
-		alertIvl    = flag.Duration("alert-interval", 0, "alert evaluation period (0: default 15s; negative: on-demand only via GET /v1/alerts?refresh=1)")
-		alertHook   = flag.String("alert-webhook", "", "POST firing/resolved alert transitions as JSON to this URL")
+		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
+		addrFile  = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
+		logFormat = flag.String("log-format", "text", "log format: text or json")
+		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
+		debugAddr = flag.String("debug-addr", "", "separate listener for net/http/pprof (empty: disabled)")
 	)
+	opts := cli.ServeFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger, err := cli.NewLogger(os.Stderr, *logFormat, *logLevel)
@@ -134,32 +114,8 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	cfg, err := cli.ServeOptions{
-		SchemaPath:       *schemaPath,
-		RulesPath:        *rulesPath,
-		HistoryPath:      *histPath,
-		DataDir:          *dataDir,
-		FollowURL:        *followURL,
-		Fsync:            *fsync,
-		FsyncInterval:    *fsyncIvl,
-		SnapshotInterval: *snapIvl,
-		WALSegmentBytes:  *walSegBytes,
-		Size:             *size,
-		Seed:             *seed,
-		Workers:          *workers,
-		MaxBatch:         *maxBatch,
-		Drain:            *drain,
-		TraceCapacity:    *traceCap,
-		SlowRing:         *slowRing,
-		SlowFloor:        *slowFloor,
-		AuditRing:        *auditRing,
-		AuditSample:      *auditSample,
-		DriftHalfLife:    *driftHalf,
-		AlertsPath:       *alertsPath,
-		AlertInterval:    *alertIvl,
-		AlertWebhook:     *alertHook,
-		Logger:           logger,
-	}.ServerConfig()
+	opts.Logger = logger
+	cfg, err := opts.ServerConfig()
 	if err != nil {
 		fatal(err)
 	}
@@ -198,10 +154,10 @@ func main() {
 	// same graceful drain a signal would, then exit non-zero so a supervisor
 	// restarts the process into a clean bootstrap.
 	var followErr error
-	if *followURL != "" {
+	if cfg.FollowURL != "" {
 		go func() {
 			if err := srv.Follow(ctx); err != nil {
-				logger.Error("replication failed", "leader", *followURL, "err", err)
+				logger.Error("replication failed", "leader", cfg.FollowURL, "err", err)
 				followErr = err
 				stop()
 			}
@@ -214,13 +170,6 @@ func main() {
 	logger.Info("drained")
 	if followErr != nil {
 		fatal(fmt.Errorf("replication: %w", followErr))
-	}
-
-	if *histPath != "" {
-		if err := cli.SaveHistory(*histPath, srv.History()); err != nil {
-			fatal(err)
-		}
-		logger.Info("history saved", "versions", srv.History().Len(), "path", *histPath)
 	}
 }
 

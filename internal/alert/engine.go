@@ -112,15 +112,14 @@ type Engine struct {
 	// zeroed instead of lingering at a stale 1.
 	gauges map[gaugeKey]*telemetry.Gauge
 
-	firing atomic.Int64 // mirrored out for lock-free /v1/status reads
+	firing atomic.Int64 // read lock-free by /v1/status and rudolf_alerts_firing
 
 	webhook *webhookSink
 
-	mEvals       *telemetry.Counter
-	mToPending   *telemetry.Counter
-	mToFiring    *telemetry.Counter
-	mToResolved  *telemetry.Counter
-	mFiringGauge *telemetry.Gauge
+	mEvals      *telemetry.Counter
+	mToPending  *telemetry.Counter
+	mToFiring   *telemetry.Counter
+	mToResolved *telemetry.Counter
 }
 
 type histPrev struct {
@@ -174,7 +173,10 @@ func NewEngine(cfg Config) *Engine {
 		e.mToPending = r.Counter(`rudolf_alert_transitions_total{to="pending"}`)
 		e.mToFiring = r.Counter(`rudolf_alert_transitions_total{to="firing"}`)
 		e.mToResolved = r.Counter(`rudolf_alert_transitions_total{to="resolved"}`)
-		e.mFiringGauge = r.Gauge("rudolf_alerts_firing")
+		// Read without e.mu: Evaluate reads the registry while holding it.
+		r.Collect(map[string]string{"rudolf_alerts_firing": "gauge"}, func(emit func(string, float64)) {
+			emit("rudolf_alerts_firing", float64(e.firing.Load()))
+		})
 	}
 	if cfg.Webhook != nil && cfg.Webhook.URL != "" {
 		e.webhook = newWebhookSink(*cfg.Webhook, e.sources.Metrics, e.log)
@@ -222,9 +224,6 @@ func (e *Engine) installLocked(rules []Rule) {
 	e.cfgVersion++
 	e.generation++
 	e.firing.Store(0)
-	if e.mFiringGauge != nil {
-		e.mFiringGauge.Set(0)
-	}
 }
 
 // SetRules atomically replaces the alert rule set and returns the new
@@ -348,9 +347,6 @@ func (e *Engine) Evaluate() {
 		}
 	}
 	e.firing.Store(int64(firing))
-	if e.mFiringGauge != nil {
-		e.mFiringGauge.Set(int64(firing))
-	}
 	e.lastEval = now
 	if e.mEvals != nil {
 		e.mEvals.Inc()

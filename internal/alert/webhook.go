@@ -63,14 +63,10 @@ type webhookSink struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
+	// The counts /metrics and WebhookStatus both read.
 	sent    atomic.Uint64 // events delivered
 	retries atomic.Uint64 // failed delivery attempts that were retried
 	dropped atomic.Uint64 // events dropped on a full queue
-
-	mSent    *telemetry.Counter
-	mRetries *telemetry.Counter
-	mDropped *telemetry.Counter
-	mQueue   *telemetry.Gauge
 }
 
 func newWebhookSink(cfg WebhookConfig, reg *telemetry.Registry, log *slog.Logger) *webhookSink {
@@ -102,10 +98,17 @@ func newWebhookSink(cfg WebhookConfig, reg *telemetry.Registry, log *slog.Logger
 		reg.Help("rudolf_alert_webhook_retries_total", "Failed webhook delivery attempts that were retried.")
 		reg.Help("rudolf_alert_webhook_dropped_total", "Alert events dropped because the webhook queue was full.")
 		reg.Help("rudolf_alert_webhook_queue", "Alert events waiting for webhook delivery.")
-		s.mSent = reg.Counter("rudolf_alert_webhook_sent_total")
-		s.mRetries = reg.Counter("rudolf_alert_webhook_retries_total")
-		s.mDropped = reg.Counter("rudolf_alert_webhook_dropped_total")
-		s.mQueue = reg.Gauge("rudolf_alert_webhook_queue")
+		reg.Collect(map[string]string{
+			"rudolf_alert_webhook_sent_total":    "counter",
+			"rudolf_alert_webhook_retries_total": "counter",
+			"rudolf_alert_webhook_dropped_total": "counter",
+			"rudolf_alert_webhook_queue":         "gauge",
+		}, func(emit func(string, float64)) {
+			emit("rudolf_alert_webhook_sent_total", float64(s.sent.Load()))
+			emit("rudolf_alert_webhook_retries_total", float64(s.retries.Load()))
+			emit("rudolf_alert_webhook_dropped_total", float64(s.dropped.Load()))
+			emit("rudolf_alert_webhook_queue", float64(len(s.ch)))
+		})
 	}
 	go s.run()
 	return s
@@ -116,14 +119,8 @@ func newWebhookSink(cfg WebhookConfig, reg *telemetry.Registry, log *slog.Logger
 func (s *webhookSink) enqueue(ev Event) {
 	select {
 	case s.ch <- ev:
-		if s.mQueue != nil {
-			s.mQueue.Set(int64(len(s.ch)))
-		}
 	default:
 		s.dropped.Add(1)
-		if s.mDropped != nil {
-			s.mDropped.Inc()
-		}
 	}
 }
 
@@ -147,9 +144,6 @@ func (s *webhookSink) run() {
 					break drain
 				}
 			}
-			if s.mQueue != nil {
-				s.mQueue.Set(int64(len(s.ch)))
-			}
 			if !s.deliver(batch) {
 				return // closed mid-retry
 			}
@@ -170,15 +164,9 @@ func (s *webhookSink) deliver(batch []Event) bool {
 		err := s.post(body)
 		if err == nil {
 			s.sent.Add(uint64(len(batch)))
-			if s.mSent != nil {
-				s.mSent.Add(uint64(len(batch)))
-			}
 			return true
 		}
 		s.retries.Add(1)
-		if s.mRetries != nil {
-			s.mRetries.Inc()
-		}
 		s.log.Warn("alert webhook delivery failed; retrying",
 			"url", s.cfg.URL, "events", len(batch), "backoff", backoff.String(), "err", err)
 		t := time.NewTimer(backoff)
@@ -188,9 +176,6 @@ func (s *webhookSink) deliver(batch []Event) bool {
 			// The batch is abandoned: count it dropped so no event ever
 			// silently vanishes from the accounting.
 			s.dropped.Add(uint64(len(batch)))
-			if s.mDropped != nil {
-				s.mDropped.Add(uint64(len(batch)))
-			}
 			return false
 		case <-t.C:
 		}
@@ -228,11 +213,6 @@ func (s *webhookSink) close() {
 	s.closeOnce.Do(func() {
 		close(s.stop)
 		<-s.done
-		if n := len(s.ch); n > 0 {
-			s.dropped.Add(uint64(n))
-			if s.mDropped != nil {
-				s.mDropped.Add(uint64(n))
-			}
-		}
+		s.dropped.Add(uint64(len(s.ch)))
 	})
 }

@@ -211,9 +211,12 @@ func TestEngineWebhookEndToEnd(t *testing.T) {
 	if events[0].State != StateFiring || events[1].State != StateResolved {
 		t.Fatalf("delivered sequence: %+v", events)
 	}
-	if snap := e.Snapshot(); snap.Webhook == nil || snap.Webhook.Sent != 2 {
-		t.Fatalf("snapshot webhook status: %+v", snap.Webhook)
-	}
+	// The sender counts a batch sent only once the POST's response is
+	// back, so the count catches up with the receiver eventually.
+	waitFor(t, "snapshot webhook status sent=2", func() bool {
+		snap := e.Snapshot()
+		return snap.Webhook != nil && snap.Webhook.Sent == 2
+	})
 }
 
 func TestParseRuleLines(t *testing.T) {

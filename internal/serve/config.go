@@ -13,7 +13,6 @@ import (
 	"repro/internal/alert"
 	"repro/internal/core"
 	"repro/internal/expert"
-	"repro/internal/history"
 	"repro/internal/relation"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
@@ -32,9 +31,6 @@ type Config struct {
 	// DataDir holds previously persisted state, the restored rules win and
 	// Rules is only used for the very first boot.
 	Rules *rules.Set
-	// History receives every published version; nil means a fresh store.
-	// Mutually exclusive with DataDir, which persists its own history.
-	History *history.Store
 	// Workers bounds concurrently evaluating scoring requests (the worker
 	// pool). 0 means 2×GOMAXPROCS slots.
 	Workers int
@@ -141,8 +137,8 @@ type Config struct {
 	// from the leader's newest snapshot, tails its WAL stream, serves reads
 	// at the leader's rule version, and answers every mutating request with
 	// 403 "read_only" plus a Location header to the leader. Mutually
-	// exclusive with DataDir (a follower's durable state IS the leader's)
-	// and History. See DESIGN.md §16.
+	// exclusive with DataDir (a follower's durable state IS the leader's).
+	// See DESIGN.md §16.
 	FollowURL string
 }
 
@@ -221,9 +217,6 @@ func (cfg Config) Validate() error {
 	if cfg.FsyncInterval > 0 && policy != wal.SyncInterval {
 		return fmt.Errorf("serve: Config.FsyncInterval = %v but Config.Fsync = %q; the interval only applies to Fsync \"interval\"", cfg.FsyncInterval, policy)
 	}
-	if cfg.DataDir != "" && cfg.History != nil {
-		return errors.New("serve: Config.DataDir and Config.History are mutually exclusive; the data directory persists its own version history")
-	}
 	if cfg.AlertWebhook != "" {
 		u, err := url.Parse(cfg.AlertWebhook)
 		if err != nil || !u.IsAbs() || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
@@ -233,9 +226,6 @@ func (cfg Config) Validate() error {
 	if cfg.FollowURL != "" {
 		if cfg.DataDir != "" {
 			return errors.New("serve: Config.FollowURL and Config.DataDir are mutually exclusive; a follower's durable state is the leader's")
-		}
-		if cfg.History != nil {
-			return errors.New("serve: Config.FollowURL and Config.History are mutually exclusive; a follower replicates the leader's history")
 		}
 		u, err := url.Parse(cfg.FollowURL)
 		if err != nil || !u.IsAbs() || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -27,8 +29,10 @@ func TestStageClockAllocs(t *testing.T) {
 			telemetry.StageBuckets)
 	}
 
+	lat := reg.Histogram("rudolf_score_latency_seconds", nil)
+
 	run := func(parent trace.Span) {
-		clock := stageClock{parent: parent, hist: &hist}
+		clock := stageClock{parent: parent, hist: &hist, total: lat}
 		clock.begin(stageDecode)
 		clock.begin(stageWindow)
 		clock.begin(stageEval)
@@ -324,5 +328,39 @@ func TestConcurrentSlowRingScoring(t *testing.T) {
 		if e.StageTotalNS > e.DurNS {
 			t.Fatalf("entry %d: stage_total_ns %d > dur_ns %d", e.Seq, e.StageTotalNS, e.DurNS)
 		}
+	}
+}
+
+// TestScoreLatencyIsStageSum: rudolf_score_latency_seconds observes, once
+// per scored request, the total of the stage clock that fills
+// rudolf_stage_duration_seconds — one clock, decode through write — so the
+// latency sum equals the seven stage sums up to float rounding.
+func TestScoreLatencyIsStageSum(t *testing.T) {
+	schema := testSchema(t)
+	s, _ := newTestServer(t, Config{Schema: schema, Rules: mustRules(t, schema, "amount >= 100")})
+	const n = 20
+	h := s.Handler()
+	for i := 0; i < n; i++ {
+		rec := httptest.NewRecorder()
+		body := `{"transactions":[{"attrs":{"amount":150,"hour":3},"score":10},{"attrs":{"amount":50,"hour":4},"score":10}]}`
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/score", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("score: %d %s", rec.Code, rec.Body)
+		}
+	}
+	lat, ok := s.Registry().FindHistogram("rudolf_score_latency_seconds")
+	if !ok || lat.Count() != n {
+		t.Fatalf("latency histogram %v: count %d, want %d", ok, lat.Count(), n)
+	}
+	var stages float64
+	for st := stage(0); st < numStages; st++ {
+		sh, ok := s.Registry().FindHistogram(`rudolf_stage_duration_seconds{stage="` + stageNames[st] + `"}`)
+		if !ok {
+			t.Fatalf("stage %s histogram missing", stageNames[st])
+		}
+		stages += sh.Sum()
+	}
+	if d := math.Abs(lat.Sum() - stages); d > 1e-9 {
+		t.Fatalf("latency sum %.9fs, stage sums %.9fs: differ by %.3gs", lat.Sum(), stages, d)
 	}
 }

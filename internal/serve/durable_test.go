@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/history"
 	"repro/internal/rulestats"
 )
 
@@ -77,8 +76,8 @@ func TestDurableRestart(t *testing.T) {
 		t.Fatalf("pre-restart state = version %d, feedback %d; want 2, 3", wantVersion, wantFeedback)
 	}
 	wantRules := s.Rules().Len()
-	wantHist := s.History().Len()
-	v1, _ := s.History().Latest()
+	wantHist := s.hist.Len()
+	v1, _ := s.hist.Latest()
 	ts.Close()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -101,11 +100,11 @@ func TestDurableRestart(t *testing.T) {
 	if s2.Rules().Len() != wantRules {
 		t.Fatalf("restored rules = %d, want %d (Config.Rules must not win)", s2.Rules().Len(), wantRules)
 	}
-	if s2.History().Len() != wantHist {
-		t.Fatalf("restored history length = %d, want %d", s2.History().Len(), wantHist)
+	if s2.hist.Len() != wantHist {
+		t.Fatalf("restored history length = %d, want %d", s2.hist.Len(), wantHist)
 	}
 	// The version record is restored verbatim: same id, timestamp, comment.
-	v2, ok := s2.History().Latest()
+	v2, ok := s2.hist.Latest()
 	if !ok || v2.ID != v1.ID || !v2.Time.Equal(v1.Time) || v2.Comment != v1.Comment {
 		t.Fatalf("restored latest version = %+v, want verbatim %+v", v2, v1)
 	}
@@ -444,17 +443,10 @@ func TestDurableValidate(t *testing.T) {
 			c.Fsync = "always"
 			c.FsyncInterval = time.Second
 		}, "only applies"},
-		{"datadir with history", func(c *Config) {
-			c.DataDir = "x"
-			c.History = nil // set below
-		}, "mutually exclusive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Schema: schema}
 			tc.mut(&cfg)
-			if tc.name == "datadir with history" {
-				cfg.History = history.NewStore(schema)
-			}
 			err := cfg.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Validate = %v, want an error containing %q", err, tc.want)

@@ -67,7 +67,6 @@ import (
 	"repro/internal/alert"
 	"repro/internal/capture"
 	"repro/internal/core"
-	"repro/internal/history"
 	"repro/internal/index"
 	"repro/internal/relation"
 	"repro/internal/rules"
@@ -188,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		AuditCapacity: cfg.AuditCapacity,
 		SampleEvery:   cfg.AuditSampleEvery,
 	})
-	state, err := newReplicated(cfg.Schema, cfg.History, stats)
+	state, err := newReplicated(cfg.Schema, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +299,7 @@ func (s *Server) initMetrics() {
 	r.Help("rudolf_http_requests_total", "HTTP requests served, by path and status code.")
 	r.Help("rudolf_score_tx_total", "Transactions scored.")
 	r.Help("rudolf_score_aborted_total", "Score responses whose connection was aborted after part of the body was sent (a write failed or hit the deadline).")
-	r.Help("rudolf_score_latency_seconds", "Whole-batch scoring request latency (one observation per /v1/score request).")
+	r.Help("rudolf_score_latency_seconds", "Whole-batch scoring request latency, decode through write: the sum of its rudolf_stage_duration_seconds stages (one observation per scored /v1/score request).")
 	r.Help("rudolf_score_batch_size", "Transactions per /v1/score request.")
 	r.Help("rudolf_score_inflight", "Scoring requests currently holding a worker slot.")
 	r.Help("rudolf_rules_version", "Published rule-set version (history id); survives restarts via the WAL.")
@@ -530,9 +529,6 @@ func (s *Server) Version() int { return s.state.Load().version }
 
 // Rules returns the currently published rule set (read-only).
 func (s *Server) Rules() *rules.Set { return s.state.Load().set }
-
-// History returns the server's version store.
-func (s *Server) History() *history.Store { return s.hist }
 
 // Registry returns the server's telemetry registry.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
@@ -996,7 +992,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	explain := req.Explain || req.ExplainAll
 	sc := getScoreState()
 	defer putScoreState(sc)
-	start := time.Now()
 	st := s.state.Load() // exactly one version per response
 	observed := false
 	// Windowed rules are stateful: every scored transaction is observed into
@@ -1048,7 +1043,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	clock.begin(stageEval)
 	s.evaluate(meta.span, st, sc, rel, explain)
-	elapsed := time.Since(start).Seconds()
 	s.release()
 	// The third deadline check, before the first response byte. A request
 	// that observed its batch skips it: its 503 would claim "not observed",
@@ -1060,7 +1054,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	clock.begin(stageEncode)
 	s.recordScore(meta.id, st, rel, sc.first)
 	s.mScoreTx.Add(uint64(rel.Len()))
-	s.mScoreLat.Observe(elapsed)
+	clock.total = s.mScoreLat // observed at flush, after the write
 	s.mBatchSize.Observe(float64(rel.Len()))
 	out := scoreStream{s: s, w: w, clock: &clock}
 	sc.out = s.appendScoreResponse(sc.out[:0], out.flush, meta.id, st, sc, rel, req.Explain, req.ExplainAll)

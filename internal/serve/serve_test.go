@@ -247,8 +247,8 @@ func TestRulesGetAndSwap(t *testing.T) {
 		t.Fatalf("after text swap: version %d, %d rules", s.Version(), s.Rules().Len())
 	}
 	// Every publish is a history version.
-	if s.History().Len() != 3 {
-		t.Fatalf("history has %d versions, want 3", s.History().Len())
+	if s.hist.Len() != 3 {
+		t.Fatalf("history has %d versions, want 3", s.hist.Len())
 	}
 }
 

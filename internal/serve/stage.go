@@ -55,7 +55,8 @@ var stageSpanNames = [numStages]string{
 type stageClock struct {
 	parent  trace.Span // request span; zero when the request is untraced
 	hist    *[numStages]*telemetry.Histogram
-	sp      trace.Span // live stage span
+	total   *telemetry.Histogram // set once the request is scored: gets the stages' sum
+	sp      trace.Span           // live stage span
 	t0      time.Time
 	cur     stage
 	running bool
@@ -75,8 +76,9 @@ func (c *stageClock) begin(st stage) {
 }
 
 // flush ends the running stage and observes every non-zero stage duration
-// into the histograms. Safe to call more than once (idempotent after the
-// first), so handlers can defer it.
+// into the histograms, and their sum into total when set — so the request
+// latency is the stages' latency, from the same clock. Safe to call more
+// than once (idempotent after the first), so handlers can defer it.
 func (c *stageClock) flush() {
 	if c.running {
 		c.dur[c.cur] += time.Since(c.t0)
@@ -86,10 +88,16 @@ func (c *stageClock) flush() {
 	if c.hist == nil {
 		return
 	}
+	var sum time.Duration
 	for i := range c.dur {
 		if c.dur[i] > 0 {
 			c.hist[i].Observe(c.dur[i].Seconds())
+			sum += c.dur[i]
 			c.dur[i] = 0
 		}
+	}
+	if c.total != nil {
+		c.total.Observe(sum.Seconds())
+		c.total = nil
 	}
 }

@@ -238,16 +238,12 @@ func (m ctxMutex) lockCtx(ctx context.Context) error {
 }
 
 // newReplicated returns the empty state over schema — no versions, no
-// feedback, an empty version-0 rule set published (scoreable: nothing flags)
-// — continuing hist when the caller supplies one.
-func newReplicated(schema *relation.Schema, hist *history.Store, stats *rulestats.Tracker) (*replicated, error) {
-	if hist == nil {
-		hist = history.NewStore(schema)
-	}
+// feedback, an empty version-0 rule set published (scoreable: nothing flags).
+func newReplicated(schema *relation.Schema, stats *rulestats.Tracker) (*replicated, error) {
 	r := &replicated{
 		schema:   schema,
 		stats:    stats,
-		hist:     hist,
+		hist:     history.NewStore(schema),
 		mu:       make(ctxMutex, 1),
 		feedback: relation.New(schema),
 		cache:    capture.New(),

@@ -89,7 +89,9 @@ type Record struct {
 	Track uint64
 	// Name is the span name, e.g. "refine.round".
 	Name string
-	// Start is wall-clock nanoseconds since the Unix epoch.
+	// Start is wall-clock nanoseconds since the Unix epoch: the tracer's
+	// wall anchor plus a monotonic offset, so a child ended before its
+	// parent also lies inside it however the wall clock steps.
 	Start int64
 	// Dur is the span duration (0 for instant events).
 	Dur time.Duration
@@ -130,6 +132,11 @@ type Options struct {
 type Tracer struct {
 	opts Options
 
+	// epoch is the wall anchor (with its monotonic reading) every Start is
+	// measured from; epochNS is its Unix nanoseconds.
+	epoch   time.Time
+	epochNS int64
+
 	ids atomic.Uint64 // span-id allocator
 
 	mu  sync.Mutex
@@ -148,7 +155,8 @@ func New(opts Options) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
 	}
-	t := &Tracer{opts: opts, buf: make([]Record, opts.Capacity)}
+	now := time.Now()
+	t := &Tracer{opts: opts, buf: make([]Record, opts.Capacity), epoch: now, epochNS: now.UnixNano()}
 	if opts.SlowCapacity > 0 {
 		t.slow = newSlowRing(opts.SlowCapacity, opts.SlowFloor, opts.SlowRootPrefix)
 	}
@@ -198,7 +206,7 @@ func (t *Tracer) start(name string, parent, track uint64) Span {
 	}
 	d.rec = Record{ID: id, Parent: parent, Track: track, Name: name}
 	d.start = time.Now()
-	d.rec.Start = d.start.UnixNano()
+	d.rec.Start = t.wallNS(d.start)
 	d.done = false
 	return Span{t: t, d: d}
 }
@@ -218,8 +226,14 @@ func (t *Tracer) Instant(name string) {
 		return
 	}
 	id := t.ids.Add(1)
-	rec := Record{ID: id, Track: id, Name: name, Start: time.Now().UnixNano(), Instant: true}
+	rec := Record{ID: id, Track: id, Name: name, Start: t.wallNS(time.Now()), Instant: true}
 	t.emit(&rec)
+}
+
+// wallNS stamps now as the wall anchor plus now's monotonic offset from it,
+// the clock End measures durations on.
+func (t *Tracer) wallNS(now time.Time) int64 {
+	return t.epochNS + int64(now.Sub(t.epoch))
 }
 
 // setAttr appends one attribute, dropping (and counting) past MaxAttrs.

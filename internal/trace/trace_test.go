@@ -276,3 +276,39 @@ func BenchmarkEnabledSpan(b *testing.B) {
 		sp.End()
 	}
 }
+
+// TestChildrenNestInParents: a child ended before its parent lies inside
+// it exactly — start no earlier, end no later — because every stamp is the
+// tracer's wall anchor plus a monotonic offset. Stamping starts from the
+// wall clock and durations from the monotonic one lets the two drift apart
+// by microseconds.
+func TestChildrenNestInParents(t *testing.T) {
+	const rounds = 4000
+	tr := New(Options{Capacity: 3 * rounds})
+	for i := 0; i < rounds; i++ {
+		root := tr.Start("request")
+		child := root.Child("stage")
+		grand := child.Child("inner")
+		grand.End()
+		child.End()
+		root.End()
+	}
+	recs := tr.Snapshot()
+	byID := make(map[uint64]Record, len(recs))
+	for _, r := range recs {
+		byID[r.ID] = r
+	}
+	for _, r := range recs {
+		if r.Parent == 0 {
+			continue
+		}
+		p, ok := byID[r.Parent]
+		if !ok {
+			t.Fatalf("%s %d: parent %d not retained", r.Name, r.ID, r.Parent)
+		}
+		if r.Start < p.Start || r.Start+int64(r.Dur) > p.Start+int64(p.Dur) {
+			t.Fatalf("%s [%d, +%d] lies outside its parent %s [%d, +%d]",
+				r.Name, r.Start, r.Dur, p.Name, p.Start, p.Dur)
+		}
+	}
+}
