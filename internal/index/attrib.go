@@ -4,7 +4,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/ontology"
 	"repro/internal/relation"
-	"repro/internal/trace"
 )
 
 // This file is the attribution path of the compiled evaluator: the same
@@ -361,16 +360,6 @@ func (e *Evaluator) EvalAttributedLazyInto(rel *relation.Relation, buf *Attribut
 	return out
 }
 
-// EvalAttributedLazyIntoUnder is EvalAttributedLazyInto wrapped in an
-// "index.eval_attributed_lazy" span nested under parent.
-func (e *Evaluator) EvalAttributedLazyIntoUnder(parent trace.Span, rel *relation.Relation, buf *AttributionBuffer) *bitset.Set {
-	sp := parent.Child("index.eval_attributed_lazy")
-	out := e.EvalAttributedLazyInto(rel, buf)
-	sp.Int("rows", int64(rel.Len())).Int("rules", int64(len(e.rules))).Int("chunks", int64(e.chunkCount(rel.Len())))
-	sp.End()
-	return out
-}
-
 // EvalFirstInto returns, per transaction, the index of the first matching
 // rule (or NoRule when none matches) — the same short-circuiting loop as
 // Eval, writing an int32 per tuple instead of a bit. The serving hot path
@@ -403,13 +392,3 @@ func (e *Evaluator) EvalFirstInto(rel *relation.Relation, dst []int32) []int32 {
 
 // NoRule is the EvalFirstInto marker for "no rule matched".
 const NoRule int32 = -1
-
-// EvalFirstIntoUnder is EvalFirstInto wrapped in an "index.eval_first" span
-// nested under parent.
-func (e *Evaluator) EvalFirstIntoUnder(parent trace.Span, rel *relation.Relation, dst []int32) []int32 {
-	sp := parent.Child("index.eval_first")
-	out := e.EvalFirstInto(rel, dst)
-	sp.Int("rows", int64(rel.Len())).Int("rules", int64(len(e.rules))).Int("chunks", int64(e.chunkCount(rel.Len())))
-	sp.End()
-	return out
-}

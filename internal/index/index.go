@@ -341,7 +341,7 @@ func (e *Evaluator) Eval(rel *relation.Relation) *bitset.Set {
 func (e *Evaluator) EvalUnder(parent trace.Span, rel *relation.Relation) *bitset.Set {
 	sp := parent.Child("index.eval")
 	out := e.Eval(rel)
-	sp.Int("rows", int64(rel.Len())).Int("rules", int64(len(e.rules))).Int("chunks", int64(e.chunkCount(rel.Len())))
+	sp.Int("rows", int64(rel.Len())).Int("rules", int64(len(e.rules))).Int("chunks", int64(e.ChunkCount(rel.Len())))
 	sp.End()
 	return out
 }
@@ -351,14 +351,14 @@ func (e *Evaluator) EvalUnder(parent trace.Span, rel *relation.Relation) *bitset
 func (e *Evaluator) EvalPerRuleUnder(parent trace.Span, rel *relation.Relation) []*bitset.Set {
 	sp := parent.Child("index.eval_per_rule")
 	out := e.EvalPerRule(rel)
-	sp.Int("rows", int64(rel.Len())).Int("rules", int64(len(e.rules))).Int("chunks", int64(e.chunkCount(rel.Len())))
+	sp.Int("rows", int64(rel.Len())).Int("rules", int64(len(e.rules))).Int("chunks", int64(e.ChunkCount(rel.Len())))
 	sp.End()
 	return out
 }
 
-// chunkCount reports how many 64-aligned chunks parallelChunks would use
+// ChunkCount reports how many 64-aligned chunks the parallel evaluations use
 // over n rows (span attribution only).
-func (e *Evaluator) chunkCount(n int) int {
+func (e *Evaluator) ChunkCount(n int) int {
 	chunk := e.chunkSize(n)
 	return (n + chunk - 1) / chunk
 }

@@ -13,8 +13,8 @@ import (
 //
 // The endpoint is node-local on every role: a follower evaluates (and
 // accepts) its own alert rules, because its signals — replication lag
-// above all — are exactly what the rules watch. That is why the route is
-// not wrapped by the read-only guard, unlike /v1/rules.
+// above all — are exactly what the rules watch. That is why its POST is not
+// a write in the route table, unlike POST /v1/rules.
 
 // alertsResponse is the GET /v1/alerts document: the engine snapshot plus
 // the request id envelope field.
@@ -46,22 +46,11 @@ func alertsETag(snap *alert.Snapshot) string {
 	return fmt.Sprintf(`"%d-%d"`, snap.ConfigVersion, snap.Generation)
 }
 
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.handleAlertsGet(w, r)
-	case http.MethodPost:
-		s.handleAlertsPost(w, r)
-	default:
-		s.methodNotAllowed(w, r, http.MethodGet, http.MethodPost)
-	}
-}
-
 // handleAlertsGet serves the engine snapshot. ?refresh=1 forces a
 // synchronous evaluation pass first — how tests and the smoke scripts get
 // deterministic readouts without racing the ticker (and how a disabled
 // ticker is driven at all).
-func (s *Server) handleAlertsGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAlertsGet(w http.ResponseWriter, r *http.Request) error {
 	meta := requestMeta(r)
 	if v := r.URL.Query().Get("refresh"); v != "" && v != "0" {
 		sp := meta.span.Child("alerts.evaluate")
@@ -73,23 +62,23 @@ func (s *Server) handleAlertsGet(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("ETag", etag)
 	if r.Header.Get("If-None-Match") == etag {
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return nil
 	}
 	s.writeJSON(w, http.StatusOK, alertsResponse{RequestID: meta.id, Snapshot: snap})
+	return nil
 }
 
 // handleAlertsPost replaces the node's alert rule set. Unlike scoring-rule
 // publishes this is deliberately not WAL-logged or replicated: alert rules
 // are operator configuration about this node, not scoring state.
-func (s *Server) handleAlertsPost(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAlertsPost(w http.ResponseWriter, r *http.Request) error {
 	var req alertsPublishRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
+	if err := readJSON(r.Context(), r.Body, &req); err != nil {
+		return err
 	}
 	rules, err := alert.ParseRuleLines(req.Rules)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "bad alert rules: %v", err)
-		return
+		return errorf(http.StatusBadRequest, CodeBadRequest, "bad alert rules: %v", err)
 	}
 	cv := s.alerts.SetRules(rules)
 	s.log.Info("alert rules installed", "rules", len(rules), "config_version", cv)
@@ -98,6 +87,7 @@ func (s *Server) handleAlertsPost(w http.ResponseWriter, r *http.Request) {
 		ConfigVersion: cv,
 		Rules:         len(rules),
 	})
+	return nil
 }
 
 // debugAlertsState is the alerts block of GET /v1/debug/state: the compact

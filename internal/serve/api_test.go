@@ -230,54 +230,59 @@ func TestAPIContract(t *testing.T) {
 	rows := []struct {
 		method, path, body string
 		leader, follower   want
+		// allow is the exact Allow header of a 405 on this row; id is
+		// whether an error envelope carries the request_id (instrumented
+		// routes only).
+		allow string
+		id    bool
 	}{
-		{"POST", "/v1/score", scoreBody, ok, ok},
-		{"GET", "/v1/score", "", notAllowed, notAllowed},
-		{"GET", "/v1/rules", "", ok, ok},
-		{"DELETE", "/v1/rules", "", notAllowed, notAllowed},
-		{"POST", "/v1/refine", "{}", want{http.StatusConflict, CodeConflict}, readOnly},
-		{"GET", "/v1/refine", "", notAllowed, notAllowed},
-		{"POST", "/v1/feedback", feedbackBody, ok, readOnly},
-		{"GET", "/v1/feedback", "", notAllowed, notAllowed},
-		{"POST", "/v1/rules", rulesBody, ok, readOnly},
-		{"GET", "/v1/stats", "", ok, ok},
-		{"POST", "/v1/stats", "{}", notAllowed, notAllowed},
-		{"GET", "/v1/schema", "", ok, ok},
-		{"POST", "/v1/schema", "{}", notAllowed, notAllowed},
-		{"GET", "/v1/status", "", ok, ok},
-		{"POST", "/v1/status", "{}", notAllowed, notAllowed},
-		{"GET", "/v1/rules/health", "", ok, ok},
-		{"POST", "/v1/rules/health", "{}", notAllowed, notAllowed},
-		{"GET", "/v1/audit", "", ok, ok},
-		{"POST", "/v1/audit", "{}", notAllowed, notAllowed},
+		{"POST", "/v1/score", scoreBody, ok, ok, "", true},
+		{"GET", "/v1/score", "", notAllowed, notAllowed, "POST", true},
+		{"GET", "/v1/rules", "", ok, ok, "", true},
+		{"DELETE", "/v1/rules", "", notAllowed, notAllowed, "GET, POST", true},
+		{"POST", "/v1/refine", "{}", want{http.StatusConflict, CodeConflict}, readOnly, "", true},
+		{"GET", "/v1/refine", "", notAllowed, notAllowed, "POST", true},
+		{"POST", "/v1/feedback", feedbackBody, ok, readOnly, "", true},
+		{"GET", "/v1/feedback", "", notAllowed, notAllowed, "POST", true},
+		{"POST", "/v1/rules", rulesBody, ok, readOnly, "", true},
+		{"GET", "/v1/stats", "", ok, ok, "", true},
+		{"POST", "/v1/stats", "{}", notAllowed, notAllowed, "GET", true},
+		{"GET", "/v1/schema", "", ok, ok, "", true},
+		{"POST", "/v1/schema", "{}", notAllowed, notAllowed, "GET", true},
+		{"GET", "/v1/status", "", ok, ok, "", true},
+		{"POST", "/v1/status", "{}", notAllowed, notAllowed, "GET", true},
+		{"GET", "/v1/rules/health", "", ok, ok, "", true},
+		{"POST", "/v1/rules/health", "{}", notAllowed, notAllowed, "GET", true},
+		{"GET", "/v1/audit", "", ok, ok, "", true},
+		{"POST", "/v1/audit", "{}", notAllowed, notAllowed, "GET", true},
 		// /v1/alerts is node-local on every role: a follower accepts alert
 		// rules (its replication lag is exactly what they watch), so POST is
 		// deliberately NOT read-only-guarded.
-		{"GET", "/v1/alerts", "", ok, ok},
-		{"POST", "/v1/alerts", `{"rules":["alert contract: value(rudolf_score_inflight) > 1000000"]}`, ok, ok},
-		{"DELETE", "/v1/alerts", "", notAllowed, notAllowed},
-		{"GET", "/v1/trace", "", ok, ok},
-		{"POST", "/v1/trace", "{}", notAllowed, notAllowed},
-		{"GET", "/v1/debug/slow", "", ok, ok},
-		{"POST", "/v1/debug/slow", "{}", notAllowed, notAllowed},
-		{"GET", "/v1/debug/state", "", ok, ok},
-		{"POST", "/v1/debug/state", "{}", notAllowed, notAllowed},
+		{"GET", "/v1/alerts", "", ok, ok, "", true},
+		{"POST", "/v1/alerts", `{"rules":["alert contract: value(rudolf_score_inflight) > 1000000"]}`, ok, ok, "", true},
+		{"DELETE", "/v1/alerts", "", notAllowed, notAllowed, "GET, POST", true},
+		{"GET", "/v1/trace", "", ok, ok, "", false},
+		{"POST", "/v1/trace", "{}", notAllowed, notAllowed, "GET", false},
+		{"GET", "/v1/debug/slow", "", ok, ok, "", false},
+		{"POST", "/v1/debug/slow", "{}", notAllowed, notAllowed, "GET", false},
+		{"GET", "/v1/debug/state", "", ok, ok, "", false},
+		{"POST", "/v1/debug/state", "{}", notAllowed, notAllowed, "GET", false},
 		// The replication surface: served by a durable leader, 404 with the
 		// uniform envelope on a node without a WAL (the follower), 405 for
 		// wrong methods on both. ?from=0 is invalid, so the leader's stream
 		// row answers 400 instead of long-polling the test.
-		{"GET", "/v1/wal/segments", "", ok, notFound},
-		{"POST", "/v1/wal/segments", "{}", notAllowed, notAllowed},
-		{"GET", "/v1/wal/snapshot", "", notFound, notFound}, // no snapshot yet on the leader either
-		{"POST", "/v1/wal/snapshot", "{}", notAllowed, notAllowed},
-		{"GET", "/v1/wal/stream?from=0", "", want{http.StatusBadRequest, CodeBadRequest}, notFound},
-		{"POST", "/v1/wal/stream", "{}", notAllowed, notAllowed},
+		{"GET", "/v1/wal/segments", "", ok, notFound, "", true},
+		{"POST", "/v1/wal/segments", "{}", notAllowed, notAllowed, "GET", true},
+		{"GET", "/v1/wal/snapshot", "", notFound, notFound, "", true}, // no snapshot yet on the leader either
+		{"POST", "/v1/wal/snapshot", "{}", notAllowed, notAllowed, "GET", true},
+		{"GET", "/v1/wal/stream?from=0", "", want{http.StatusBadRequest, CodeBadRequest}, notFound, "", false},
+		{"POST", "/v1/wal/stream", "{}", notAllowed, notAllowed, "GET", false},
 		// Catch-all and infra.
-		{"GET", "/v1/nope", "", notFound, notFound},
-		{"GET", "/readyz", "", ok, want{http.StatusServiceUnavailable, CodeNotReady}},
+		{"GET", "/v1/nope", "", notFound, notFound, "", false},
+		{"GET", "/readyz", "", ok, want{http.StatusServiceUnavailable, CodeNotReady}, "", false},
 	}
 
-	run := func(t *testing.T, base, role string, method, path, body string, w want) {
+	run := func(t *testing.T, base, role string, method, path, body string, w want, allow string, id bool) {
 		t.Helper()
 		var rd io.Reader
 		if body != "" {
@@ -311,16 +316,19 @@ func TestAPIContract(t *testing.T) {
 		if er.Error.Message == "" {
 			t.Errorf("%s: %s %s: empty error message", role, method, path)
 		}
-		if w.code == CodeMethodNotAllowed && resp.Header.Get("Allow") == "" {
-			t.Errorf("%s: %s %s: 405 without an Allow header", role, method, path)
+		if got := resp.Header.Get("Allow"); w.code == CodeMethodNotAllowed && got != allow {
+			t.Errorf("%s: %s %s: 405 with Allow %q, want %q", role, method, path, got, allow)
+		}
+		if got := er.Error.RequestID != ""; got != id {
+			t.Errorf("%s: %s %s: envelope request_id %q, want one: %v", role, method, path, er.Error.RequestID, id)
 		}
 		if w.code == CodeReadOnly && resp.Header.Get("Location") == "" {
 			t.Errorf("%s: %s %s: read_only without a Location to the leader", role, method, path)
 		}
 	}
 	for _, row := range rows {
-		run(t, lts.URL, "leader", row.method, row.path, row.body, row.leader)
-		run(t, fts.URL, "follower", row.method, row.path, row.body, row.follower)
+		run(t, lts.URL, "leader", row.method, row.path, row.body, row.leader, row.allow, row.id)
+		run(t, fts.URL, "follower", row.method, row.path, row.body, row.follower, row.allow, row.id)
 	}
 }
 

@@ -150,11 +150,7 @@ func slowEntryWire(e trace.SlowEntry) debugSlowEntry {
 // Chrome trace_event form with ?format=chrome. Like /v1/trace it is
 // deliberately uninstrumented — inspecting the slow ring must not emit
 // request spans that could themselves be promoted.
-func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) error {
 	entries := s.tracer.SlowSnapshot()
 	switch f := r.URL.Query().Get("format"); f {
 	case "", "json":
@@ -179,8 +175,9 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		trace.WriteChrome(w, recs) //nolint:errcheck // client gone: nothing to do
 	default:
-		s.writeErrorID(w, "", http.StatusBadRequest, CodeBadRequest, "unknown format %q (want json or chrome)", f)
+		return errorf(http.StatusBadRequest, CodeBadRequest, "unknown format %q (want json or chrome)", f)
 	}
+	return nil
 }
 
 // --- GET /v1/debug/state ---------------------------------------------------
@@ -263,11 +260,7 @@ type debugStateResponse struct {
 // handleDebugState consolidates the introspection stats of every subsystem
 // into one document. Uninstrumented for the same reason as /v1/trace and
 // /v1/debug/slow.
-func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) error {
 	now := time.Now()
 	st := s.state.Load()
 	ss := s.tracer.SlowStats()
@@ -344,8 +337,7 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 	resp.Replication = s.replicationDebugState()
 	resp.Alerts = s.alertsDebugState()
 	if s.mu.lockCtx(r.Context()) != nil {
-		s.writeErrorID(w, "", http.StatusServiceUnavailable, CodeUnavailable, "canceled while queued for the control plane")
-		return
+		return errControlPlaneWait
 	}
 	hits, rebinds, invalidates := s.cache.Stats()
 	resp.Capture = debugCaptureState{
@@ -356,4 +348,5 @@ func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, resp)
+	return nil
 }

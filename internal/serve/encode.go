@@ -40,12 +40,13 @@ import (
 // enough to stay in cache.
 const scoreChunk = 64 << 10
 
-// scoreState is the per-request scratch of handleScore, pooled so the
+// scoreState is the per-request scratch of the score pipeline, pooled so the
 // steady-state scoring path allocates only what escapes into the response
-// writer. It bundles the first-match slice, the attribution buffer of the
-// explain path, a check scratch for explain_all re-derivation and the
-// response chunk buffer.
+// writer. It bundles the stage clock, the first-match slice, the attribution
+// buffer of the explain path, a check scratch for explain_all re-derivation
+// and the response chunk buffer.
 type scoreState struct {
+	clock   stageClock
 	first   []int32
 	attrib  index.AttributionBuffer
 	scratch []index.CheckAttribution
@@ -53,10 +54,6 @@ type scoreState struct {
 }
 
 var scoreStatePool = sync.Pool{New: func() any { return new(scoreState) }}
-
-func getScoreState() *scoreState { return scoreStatePool.Get().(*scoreState) }
-
-func putScoreState(st *scoreState) { scoreStatePool.Put(st) }
 
 // scoreStream is the sink handleScore renders into: appendScoreResponse
 // calls flush each time its buffer holds a whole chunk, and handleScore

@@ -292,7 +292,7 @@ func TestScoreStreamedBody(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rel, _, err := s.buildRelation(wire, false)
+	rel, err := s.relationOf(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,28 +116,6 @@ func (t followTarget) Bootstrap(seq uint64, files map[string][]byte) error {
 
 func (t followTarget) Apply(seq uint64, payload []byte) error { return t.s.applyPayload(seq, payload) }
 
-// readOnly blocks the given methods on a follower with the uniform envelope:
-// 403, stable code "read_only", and a Location header pointing the client at
-// the leader's copy of the same path. Other methods fall through (so GET
-// /v1/rules still serves, and wrong-method requests still answer 405). A
-// no-op wrapper on a leader.
-func (s *Server) readOnly(h http.Handler, methods ...string) http.Handler {
-	if s.follower == nil {
-		return h
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		for _, m := range methods {
-			if r.Method == m {
-				w.Header().Set("Location", s.follower.leaderURL+r.URL.Path)
-				s.writeError(w, r, http.StatusForbidden, CodeReadOnly,
-					"this node is a read-only follower; send writes to the leader at %s", s.follower.leaderURL)
-				return
-			}
-		}
-		h.ServeHTTP(w, r)
-	})
-}
-
 // statusResponse is the GET /v1/status document: one small stable identity
 // record shared by leaders and followers, so cluster tooling never scrapes
 // /metrics text to learn a node's role.
@@ -164,11 +142,7 @@ type statusResponse struct {
 }
 
 // handleStatus serves the node identity document.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) error {
 	resp := statusResponse{
 		RequestID:    requestMeta(r).id,
 		Role:         "leader",
@@ -187,6 +161,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		resp.SnapshotSeq = s.lastSnapSeq.Load()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // debugReplicationState is the replication block of GET /v1/debug/state.

@@ -43,24 +43,13 @@ type walSnapshotResponse struct {
 	Files     map[string]string `json:"files"`
 }
 
-// requireWAL gates the replication surface on durability.
-func (s *Server) requireWAL(w http.ResponseWriter, r *http.Request) bool {
-	if s.wal == nil {
-		s.writeError(w, r, http.StatusNotFound, CodeNotFound,
-			"replication requires a durable leader (start with -data-dir)")
-		return false
-	}
-	return true
-}
+// errNoWAL gates the replication surface on durability.
+var errNoWAL = errorf(http.StatusNotFound, CodeNotFound, "replication requires a durable leader (start with -data-dir)")
 
 // handleWALSegments serves the WAL manifest.
-func (s *Server) handleWALSegments(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
-	if !s.requireWAL(w, r) {
-		return
+func (s *Server) handleWALSegments(w http.ResponseWriter, r *http.Request) error {
+	if s.wal == nil {
+		return errNoWAL
 	}
 	m := s.wal.Manifest()
 	s.writeJSON(w, http.StatusOK, walSegmentsResponse{
@@ -70,6 +59,7 @@ func (s *Server) handleWALSegments(w http.ResponseWriter, r *http.Request) {
 		SnapshotSeq: s.lastSnapSeq.Load(),
 		Segments:    m.Segments,
 	})
+	return nil
 }
 
 // handleWALSnapshot serves the files of one snapshot (?seq=N; default the
@@ -77,44 +67,37 @@ func (s *Server) handleWALSegments(w http.ResponseWriter, r *http.Request) {
 // rotated away in the meantime the follower gets a 404 and refetches the
 // manifest — never a mix of two snapshots, and never a snapshot short of a
 // file its manifest declares.
-func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
-	if !s.requireWAL(w, r) {
-		return
+func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) error {
+	if s.wal == nil {
+		return errNoWAL
 	}
 	seq := s.lastSnapSeq.Load()
 	if q := r.URL.Query().Get("seq"); q != "" {
 		v, err := strconv.ParseUint(q, 10, 64)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "bad seq %q (want an unsigned integer)", q)
-			return
+			return errorf(http.StatusBadRequest, CodeBadRequest, "bad seq %q (want an unsigned integer)", q)
 		}
 		seq = v
 	}
 	if seq == 0 {
-		s.writeError(w, r, http.StatusNotFound, CodeNotFound, "no snapshot yet (bootstrap empty and stream from seq 1)")
-		return
+		return errorf(http.StatusNotFound, CodeNotFound, "no snapshot yet (bootstrap empty and stream from seq 1)")
 	}
 	raw, err := readSnapshotDir(filepath.Join(s.cfg.DataDir, snapName(seq)))
 	if errors.Is(err, fs.ErrNotExist) {
 		// Rotated away, or being rotated away right now (removal unlinks file
 		// by file): never hand out the part that is still there.
-		s.writeError(w, r, http.StatusNotFound, CodeNotFound,
+		return errorf(http.StatusNotFound, CodeNotFound,
 			"snapshot %d is gone (rotated away); refetch /v1/wal/segments", seq)
-		return
 	}
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "reading snapshot %d: %v", seq, err)
-		return
+		return errorf(http.StatusInternalServerError, CodeInternal, "reading snapshot %d: %v", seq, err)
 	}
 	files := make(map[string]string, len(raw))
 	for name, data := range raw {
 		files[name] = base64.StdEncoding.EncodeToString(data)
 	}
 	s.writeJSON(w, http.StatusOK, walSnapshotResponse{RequestID: requestMeta(r).id, Seq: seq, Files: files})
+	return nil
 }
 
 // handleWALStream streams raw WAL frames from ?from=<seq>, long-polling at
@@ -127,38 +110,31 @@ func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
 // design) and uninstrumented (a stream span would live for
 // minutes and always be promoted into the slow ring). The stream ends when
 // the client disconnects, the server drains, or the WAL is corrupt.
-func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
-	if !s.requireWAL(w, r) {
-		return
+func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) error {
+	if s.wal == nil {
+		return errNoWAL
 	}
 	from := uint64(1)
 	if q := r.URL.Query().Get("from"); q != "" {
 		v, err := strconv.ParseUint(q, 10, 64)
 		if err != nil || v == 0 {
-			s.writeErrorID(w, "", http.StatusBadRequest, CodeBadRequest, "bad from %q (want a sequence number >= 1)", q)
-			return
+			return errorf(http.StatusBadRequest, CodeBadRequest, "bad from %q (want a sequence number >= 1)", q)
 		}
 		from = v
 	}
 	rd, err := s.wal.NewReader(from)
 	if err != nil {
 		if errors.Is(err, wal.ErrPruned) {
-			s.writeErrorID(w, "", http.StatusConflict, CodeConflict,
+			return errorf(http.StatusConflict, CodeConflict,
 				"seq %d was pruned behind a snapshot; re-bootstrap from /v1/wal/snapshot (%v)", from, err)
-			return
 		}
-		s.writeErrorID(w, "", http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
+		return errorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
 	}
 	defer rd.Close()
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	ctx := r.Context()
 	var buf []byte
 	for {
@@ -167,7 +143,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 			// Corruption mid-log or the log closed under us: drop the
 			// connection; the follower reconnects and the manifest decides.
 			s.log.Warn("wal stream aborted", "from", from, "pos", rd.Pos(), "err", rerr)
-			return
+			return nil
 		}
 		if ok {
 			buf = wal.AppendFrame(buf[:0], e.Seq, e.Payload)
@@ -175,20 +151,18 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 				if !isClientGone(werr) {
 					s.log.Warn("wal stream write failed", "err", werr)
 				}
-				return
+				return nil
 			}
 			continue
 		}
 		// Durable tail: flush what the follower has not seen yet, then
 		// long-poll for the next append (or the end of the world).
-		if flusher != nil {
-			flusher.Flush()
-		}
+		rc.Flush() //nolint:errcheck // ErrNotSupported: nothing buffered to push
 		select {
 		case <-ctx.Done():
-			return
+			return nil
 		case <-s.drainCh:
-			return // draining: the follower reconnects elsewhere/later
+			return nil // draining: the follower reconnects elsewhere/later
 		case <-s.wal.WaitFor(rd.Pos()):
 		}
 	}

@@ -8,11 +8,9 @@
 // are hot-swapped as analysts iterate. This package is that deployment
 // layer over the repository's evaluation core:
 //
-//   - The public surface is the versioned /v1 API: POST /v1/score,
-//     GET+POST /v1/rules, POST /v1/feedback, POST /v1/refine, GET
-//     /v1/stats, GET /v1/schema, GET /v1/trace. Every non-2xx JSON response
-//     carries the uniform error envelope
-//     {"error":{"code","message","request_id"}} with stable machine codes.
+//   - The public surface is the versioned /v1 API, one route table in
+//     http.go. Every non-2xx JSON response carries the uniform error
+//     envelope {"error":{"code","message","request_id"}} with stable codes.
 //   - The published rule set lives behind an atomic pointer as a
 //     ruleState (rule set + compiled index.Evaluator + version). Scoring
 //     requests load the pointer exactly once, so every response is
@@ -45,29 +43,23 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"mime"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/alert"
 	"repro/internal/capture"
 	"repro/internal/core"
-	"repro/internal/index"
 	"repro/internal/relation"
 	"repro/internal/rules"
 	"repro/internal/rulestats"
@@ -148,10 +140,8 @@ type Server struct {
 	// httpCounters caches the per-{path,code} request counters so instrument
 	// never formats a metric name on the hot path.
 	httpCounters sync.Map // httpCounterKey -> *telemetry.Counter
-	// mFeedbackLabel holds the per-label feedback counters, resolved once.
-	mFeedbackFraud     *telemetry.Counter
-	mFeedbackLegit     *telemetry.Counter
-	mFeedbackUnlabeled *telemetry.Counter
+	// mFeedback holds the per-label feedback counters, by relation.Label.
+	mFeedback [3]*telemetry.Counter
 
 	// Observability (DESIGN.md §15): the per-stage latency histograms of the
 	// score hot path. Every series some subsystem already counts is read
@@ -165,12 +155,6 @@ type Server struct {
 //
 //	go build -ldflags "-X repro/internal/serve.Version=v1.2.3" ./cmd/rudolfd
 var Version = "dev"
-
-// httpCounterKey keys the cached rudolf_http_requests_total counters.
-type httpCounterKey struct {
-	path string
-	code int
-}
 
 // New validates cfg, restores any durable state under cfg.DataDir (snapshot
 // plus write-ahead log, replayed before New returns, so the server is never
@@ -346,9 +330,9 @@ func (s *Server) initMetrics() {
 	s.mExpertGen = r.Counter(`rudolf_expert_queries_total{kind="generalization"}`)
 	s.mExpertSplit = r.Counter(`rudolf_expert_queries_total{kind="split"}`)
 	s.mSnapshots = r.Counter("rudolf_snapshots_total")
-	s.mFeedbackFraud = r.Counter(`rudolf_feedback_tx_total{label="fraud"}`)
-	s.mFeedbackLegit = r.Counter(`rudolf_feedback_tx_total{label="legit"}`)
-	s.mFeedbackUnlabeled = r.Counter(`rudolf_feedback_tx_total{label="unlabeled"}`)
+	s.mFeedback[relation.Fraud] = r.Counter(`rudolf_feedback_tx_total{label="fraud"}`)
+	s.mFeedback[relation.Legitimate] = r.Counter(`rudolf_feedback_tx_total{label="legit"}`)
+	s.mFeedback[relation.Unlabeled] = r.Counter(`rudolf_feedback_tx_total{label="unlabeled"}`)
 	s.walCounters = wal.Counters{
 		AppendSeconds: r.Histogram("rudolf_wal_append_seconds", telemetry.StageBuckets),
 		FsyncSeconds:  r.Histogram("rudolf_wal_fsync_seconds", telemetry.StageBuckets),
@@ -553,67 +537,10 @@ func (s *Server) SetDraining(v bool) {
 	}
 }
 
-// Handler returns the daemon's route table: the versioned /v1 surface and
-// the unversioned infrastructure endpoints (/healthz, /readyz, /metrics).
-// Anything else answers the uniform 404 envelope.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	// mount instruments h under the request span request.<span>.
-	mount := func(path, span string, h http.Handler) { mux.Handle(path, s.instrument(path, span, h)) }
-	// Every route with a deadline owns it (see ownDeadline).
-	mount("/v1/score", "score", s.ownDeadline(http.HandlerFunc(s.handleScore), s.cfg.ScoreTimeout))
-	// The mutating routes are wrapped by the read-only guard: on a follower
-	// their write methods answer 403 "read_only" with a Location header
-	// pointing at the leader; their read methods (GET /v1/rules) and
-	// wrong-method 405s pass through. No-op on a leader.
-	mount("/v1/rules", "rules", s.readOnly(s.ownDeadline(http.HandlerFunc(s.handleRules), s.cfg.SwapTimeout), http.MethodPost))
-	mount("/v1/feedback", "feedback", s.readOnly(s.ownDeadline(http.HandlerFunc(s.handleFeedback), s.cfg.FeedbackTimeout), http.MethodPost))
-	mount("/v1/refine", "refine", s.readOnly(s.ownDeadline(http.HandlerFunc(s.handleRefine), s.cfg.RefineTimeout), http.MethodPost))
-	mount("/v1/stats", "stats", http.HandlerFunc(s.handleStats))
-	mount("/v1/schema", "schema", http.HandlerFunc(s.handleSchema))
-	mount("/v1/rules/health", "rules_health", http.HandlerFunc(s.handleRuleHealth))
-	mount("/v1/audit", "audit", http.HandlerFunc(s.handleAudit))
-	// /v1/alerts: the alert engine's readout and rule surface. Deliberately
-	// not readOnly-wrapped — each node alerts on its own signals (a
-	// follower's replication lag is exactly what its alert rules watch), so
-	// rule installs are node-local on every role. See DESIGN.md §17.
-	mount("/v1/alerts", "alerts", http.HandlerFunc(s.handleAlerts))
-	// /v1/status: the role-aware node identity document, served identically
-	// by leaders and followers.
-	mount("/v1/status", "status", http.HandlerFunc(s.handleStatus))
-	// The replication surface (leader side; see replication.go). The manifest
-	// and snapshot endpoints are ordinary instrumented GETs; the stream is
-	// deliberately uninstrumented and untimed — it is long-lived by design
-	// (a span that lives for minutes would always be promoted into the slow
-	// ring, and a timeout would sever healthy followers).
-	mount("/v1/wal/segments", "wal_segments", http.HandlerFunc(s.handleWALSegments))
-	mount("/v1/wal/snapshot", "wal_snapshot", http.HandlerFunc(s.handleWALSnapshot))
-	mux.Handle("/v1/wal/stream", http.HandlerFunc(s.handleWALStream))
-	// /v1/trace is deliberately uninstrumented: fetching the trace must not
-	// append request spans to the very ring being exported.
-	mux.Handle("/v1/trace", http.HandlerFunc(s.handleTrace))
-	// The debug endpoints are uninstrumented for the same reason: inspecting
-	// the slow ring must not mint request spans that could themselves be
-	// promoted into it.
-	mux.Handle("/v1/debug/slow", http.HandlerFunc(s.handleDebugSlow))
-	mux.Handle("/v1/debug/state", http.HandlerFunc(s.handleDebugState))
-	mux.Handle("/healthz", http.HandlerFunc(s.handleHealthz))
-	mux.Handle("/readyz", http.HandlerFunc(s.handleReadyz))
-	mux.Handle("/metrics", s.reg.Handler())
-	mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.writeErrorID(w, "", http.StatusNotFound, CodeNotFound, "no route %s %s (the API lives under /v1)", r.Method, r.URL.Path)
-	}))
-	return mux
-}
-
 // handleTrace exports the daemon's recent spans: Chrome trace_event JSON by
 // default (loadable in chrome://tracing / ui.perfetto.dev), JSONL with
 // ?format=jsonl.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) error {
 	recs := s.tracer.Snapshot()
 	switch f := r.URL.Query().Get("format"); f {
 	case "", "chrome":
@@ -623,8 +550,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		trace.WriteJSONL(w, recs) //nolint:errcheck // client gone: nothing to do
 	default:
-		s.writeErrorID(w, "", http.StatusBadRequest, CodeBadRequest, "unknown format %q (want chrome or jsonl)", f)
+		return errorf(http.StatusBadRequest, CodeBadRequest, "unknown format %q (want chrome or jsonl)", f)
 	}
+	return nil
 }
 
 // Serve runs the daemon on ln until ctx is canceled, then drains: readiness
@@ -657,540 +585,53 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return s.Close()
 }
 
-// ownDeadline runs h on the request goroutine under a context that ends d
-// after the request reached it, and sets the connection's read and write
-// deadlines to that same instant through http.ResponseController. There is
-// no second goroutine and no response buffer: h checks the context itself
-// at the points where a 503 is still possible — waiting for a worker slot
-// or the control-plane lock (lockCommit), and in a refinement session
-// before every expert query — and once its first byte is out the write
-// deadline is the only bound (see scoreStream.write for what a write that
-// fails then does).
-func (s *Server) ownDeadline(h http.Handler, d time.Duration) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		deadline, _ := ctx.Deadline()
-		// ErrNotSupported (a writer with no connection behind it, such as an
-		// httptest.ResponseRecorder) leaves the context as the only bound.
-		rc := http.NewResponseController(w)
-		rc.SetReadDeadline(deadline)  //nolint:errcheck // see above
-		rc.SetWriteDeadline(deadline) //nolint:errcheck // see above
-		h.ServeHTTP(w, r.WithContext(ctx))
-	})
+// handleRulesGet serves the published rules, with the version as an ETag.
+func (s *Server) handleRulesGet(w http.ResponseWriter, r *http.Request) error {
+	s.writeRules(w, r, s.state.Load())
+	return nil
 }
 
-// statusWriter records the response code for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
+func (s *Server) writeRules(w http.ResponseWriter, r *http.Request, st *ruleState) {
+	w.Header().Set("ETag", versionETag(st.version))
+	s.writeJSON(w, http.StatusOK, rulesResponse{RequestID: requestMeta(r).id, Version: st.version, Count: len(st.texts), Rules: st.texts})
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// Unwrap lets http.ResponseController reach the connection's writer:
-// ownDeadline sets the socket deadlines through it.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// reqMetaKey carries the per-request id and span through the context.
-type reqMetaKey struct{}
-
-// reqMeta is the per-request correlation state minted by instrument.
-type reqMeta struct {
-	id   string
-	span trace.Span
-}
-
-// requestMeta returns the request's correlation metadata (zero when the
-// route is uninstrumented).
-func requestMeta(r *http.Request) reqMeta {
-	meta, _ := r.Context().Value(reqMetaKey{}).(reqMeta)
-	return meta
-}
-
-// instrument applies the body limit, mints a request id (echoed as the
-// X-Request-Id header and the request_id field of JSON responses), opens a
-// per-request span named request.<base> (stable across API versions), and
-// counts the request by path and status code. The span id makes responses
-// joinable against GET /v1/trace.
-func (s *Server) instrument(path, base string, h http.Handler) http.Handler {
-	name := "request." + base
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		id := requestID(s.reqSeq.Add(1))
-		sp := s.tracer.Start(name)
-		sp.Str("id", id)
-		w.Header().Set("X-Request-Id", id)
-		r = r.WithContext(context.WithValue(r.Context(), reqMetaKey{}, reqMeta{id: id, span: sp}))
-		sw := &statusWriter{ResponseWriter: w}
-		// Deferred, so that a response aborted mid-body (a panic with
-		// http.ErrAbortHandler, see scoreStream.write) still ends its span
-		// and is counted, under the status it had sent.
-		defer func() {
-			if sw.code == 0 {
-				sw.code = http.StatusOK
-			}
-			sp.Int("code", int64(sw.code))
-			sp.End()
-			s.httpCounter(path, sw.code).Inc()
-		}()
-		h.ServeHTTP(sw, r)
-	})
-}
-
-// requestID renders the X-Request-Id for sequence number n: "req-%06d"
-// without the fmt machinery (the id is minted on every instrumented
-// request, including the scoring hot path).
-func requestID(n uint64) string {
-	var tmp [20]byte
-	digits := strconv.AppendUint(tmp[:0], n, 10)
-	buf := make([]byte, 0, 4+6+len(digits))
-	buf = append(buf, "req-"...)
-	for pad := 6 - len(digits); pad > 0; pad-- {
-		buf = append(buf, '0')
-	}
-	return string(append(buf, digits...))
-}
-
-// httpCounter returns the rudolf_http_requests_total counter for one
-// {path, code} pair, resolving the formatted series name only on the first
-// hit — steady state is a lock-free sync.Map read instead of a Sprintf.
-func (s *Server) httpCounter(path string, code int) *telemetry.Counter {
-	key := httpCounterKey{path: path, code: code}
-	if c, ok := s.httpCounters.Load(key); ok {
-		return c.(*telemetry.Counter)
-	}
-	c := s.reg.Counter(fmt.Sprintf(`rudolf_http_requests_total{path=%q,code="%d"}`, path, code))
-	actual, _ := s.httpCounters.LoadOrStore(key, c)
-	return actual.(*telemetry.Counter)
-}
-
-// Stable machine codes of the uniform error envelope. Clients switch on
-// these, never on message text.
-const (
-	CodeBadRequest       = "bad_request"
-	CodePayloadTooLarge  = "payload_too_large"
-	CodeMethodNotAllowed = "method_not_allowed"
-	CodeConflict         = "conflict"
-	CodeNotFound         = "not_found"
-	CodeNotReady         = "not_ready"
-	CodeReadOnly         = "read_only"
-	CodeTimeout          = "timeout"
-	CodeUnavailable      = "unavailable"
-	CodeInternal         = "internal"
-)
-
-// respBufPool holds the scratch buffers writeJSON encodes into before
-// touching the ResponseWriter; see writeJSON for why the indirection exists.
-var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// respBufMaxRetain bounds the buffer capacity returned to respBufPool, so
-// one huge response does not pin its memory forever.
-const respBufMaxRetain = 1 << 20
-
-// encodeFailedEnvelope is the hand-built 500 body writeJSON falls back to
-// when the response value itself fails to encode: it cannot be produced by
-// the same encoder that just failed.
-const encodeFailedEnvelope = `{"error":{"code":"internal","message":"response encoding failed"}}` + "\n"
-
-// writeJSON encodes v into a pooled buffer first and only then touches the
-// ResponseWriter, so an encoding failure (a bug: every response type here is
-// marshalable — but silently truncated JSON would corrupt clients) becomes a
-// clean 500 envelope instead of a torn body after a 200 header. The buffered
-// form also yields an exact Content-Length. Write errors are classified:
-// a vanished client is routine (debug), anything else is logged as a warning.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := respBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= respBufMaxRetain {
-			respBufPool.Put(buf)
-		}
-	}()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		s.log.Error("response encoding failed", "err", err, "status", code)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(encodeFailedEnvelope)))
-		w.WriteHeader(http.StatusInternalServerError)
-		io.WriteString(w, encodeFailedEnvelope) //nolint:errcheck // already in the failure path
-		return
-	}
-	s.writeBody(w, code, buf.Bytes())
-}
-
-// writeBody writes an already-encoded JSON body with an exact
-// Content-Length, logging non-client-gone write errors.
-func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	if _, err := w.Write(body); err != nil {
-		if isClientGone(err) {
-			s.log.Debug("client gone before response write", "err", err)
-		} else {
-			s.log.Warn("response write failed", "err", err)
-		}
-	}
-}
-
-// isClientGone reports whether a response-write error just means the peer
-// went away or stopped reading (canceled request, closed connection, a
-// write deadline passed) — routine under load balancers and impatient or
-// slow clients, not a server fault worth a warning.
-func isClientGone(err error) bool {
-	return errors.Is(err, syscall.EPIPE) ||
-		errors.Is(err, os.ErrDeadlineExceeded) ||
-		errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
-// methodNotAllowed answers a wrong-method request uniformly: 405 with the
-// standard Allow header naming what the route does accept, and the uniform
-// error envelope with the stable "method_not_allowed" code.
-func (s *Server) methodNotAllowed(w http.ResponseWriter, r *http.Request, allow ...string) {
-	methods := strings.Join(allow, ", ")
-	w.Header().Set("Allow", methods)
-	s.writeError(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "%s is not allowed here (allow: %s)", r.Method, methods)
-}
-
-// writeError emits the uniform error envelope, carrying the request's id so
-// failures are joinable against GET /v1/trace like successes are.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, code, format string, args ...any) {
-	s.writeErrorID(w, requestMeta(r).id, status, code, format, args...)
-}
-
-func (s *Server) writeErrorID(w http.ResponseWriter, requestID string, status int, code, format string, args ...any) {
-	s.writeJSON(w, status, errorResponse{Error: errorBody{
-		Code:      code,
-		Message:   fmt.Sprintf(format, args...),
-		RequestID: requestID,
-	}})
-}
-
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		s.writeBodyError(w, r, fmt.Errorf("bad JSON: %w", err))
-		return false
-	}
-	return true
-}
-
-// writeBodyError answers a request whose body could not be read or parsed.
-// A body still arriving when the read deadline or the request context runs
-// out is a timeout, not a bad body.
-func (s *Server) writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.Is(err, os.ErrDeadlineExceeded) || r.Context().Err() != nil:
-		s.writeTimeout(w, r, "reading the request body")
-	case errors.As(err, &tooBig):
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "body exceeds %d bytes", tooBig.Limit)
-	default:
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-	}
-}
-
-// buildRelation parses and validates a wire batch into a relation, honoring
-// labels when forFeedback is set.
-func (s *Server) buildRelation(txs []txIn, forFeedback bool) (*relation.Relation, []relation.Label, error) {
-	rel := relation.New(s.schema)
-	labels := make([]relation.Label, 0, len(txs))
-	for i, tx := range txs {
-		t, err := parseTuple(s.schema, tx.Attrs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("transaction %d: %w", i, err)
-		}
-		lab := relation.Unlabeled
-		if forFeedback {
-			lab, err = parseWireLabel(tx.Label)
-			if err != nil {
-				return nil, nil, fmt.Errorf("transaction %d: %w", i, err)
-			}
-			if tx.Label == "" {
-				return nil, nil, fmt.Errorf("transaction %d: missing label (want fraud, legit or unlabeled)", i)
-			}
-		}
-		if _, err := rel.Append(t, lab, tx.Score); err != nil {
-			return nil, nil, fmt.Errorf("transaction %d: %w", i, err)
-		}
-		labels = append(labels, lab)
-	}
-	return rel, labels, nil
-}
-
-// acquire takes a worker-pool slot, respecting request cancellation.
-func (s *Server) acquire(ctx context.Context) bool {
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-func (s *Server) release() { <-s.sem }
-
-// handleScore evaluates a batch against exactly one published version.
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.methodNotAllowed(w, r, http.MethodPost)
-		return
-	}
-	// The stage clock splits this request's wall time across the stage
-	// taxonomy (rudolf_stage_duration_seconds) and, when the request is
-	// traced, emits stage.<name> child spans — so a slow-ring promotion
-	// carries its own breakdown. Error returns flush whatever was timed.
-	meta := requestMeta(r)
-	clock := stageClock{parent: meta.span, hist: &s.mStage}
-	defer clock.flush()
-	clock.begin(stageDecode)
-	var req scoreRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	txs := req.Transactions
-	if txs == nil && req.Attrs != nil {
-		txs = []txIn{{Attrs: req.Attrs, Score: req.Score}}
-	}
-	if len(txs) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "no transactions")
-		return
-	}
-	if len(txs) > s.cfg.MaxBatch {
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "batch of %d exceeds max %d", len(txs), s.cfg.MaxBatch)
-		return
-	}
-	rel, _, err := s.buildRelation(txs, false)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	clock.begin(stageAcquire)
-	// The first of the three deadline checks: acquire is context-aware.
-	if !s.acquire(r.Context()) {
-		if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-			s.writeTimeout(w, r, "queued for a worker slot")
-			return
-		}
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeUnavailable, "canceled while queued for a worker slot")
-		return
-	}
-	explain := req.Explain || req.ExplainAll
-	sc := getScoreState()
-	defer putScoreState(sc)
-	st := s.state.Load() // exactly one version per response
-	observed := false
-	// Windowed rules are stateful: every scored transaction is observed into
-	// the live aggregate store (WAL first, when durable — the observation
-	// must survive a crash or replayed aggregates diverge from what was
-	// served), and the batch is stamped with the published specs' aggregate
-	// columns, which the compiled evaluator's exact-match fast path then
-	// reads. Window-less rule sets skip all of it: no lock, no WAL record.
-	if len(st.winSpecs) > 0 && s.winStore != nil {
-		clock.begin(stageWindow)
-		if s.follower != nil {
-			// A follower's window store mirrors the leader's observe stream;
-			// local read traffic must not mutate it, so scoring stamps the
-			// current aggregates read-only (no observe, no WAL, no obsMu —
-			// the store's shard locks make reads safe against the replication
-			// goroutine's concurrent Observe applies).
-			rel.SetWindowColumns(s.winStore.PeekColumns(rel, st.winSpecs))
-		} else {
-			// The leader's observe commit, and the one mutation that does not
-			// go through apply: StampColumns is apply(observe) — Observe per
-			// tuple, in order — plus the per-tuple aggregate read this
-			// response needs, which a replayed record has no use for.
-			// Waiting on obsMu is attributed to the window stage; the durable
-			// observe append (including its synchronous fsync) to wal_append.
-			s.obsMu.Lock()
-			// The second deadline check, the last point where a 503 can
-			// still mean "not observed".
-			if r.Context().Err() != nil {
-				s.obsMu.Unlock()
-				s.release()
-				s.writeTimeout(w, r, "waiting to observe the batch")
-				return
-			}
-			if s.wal != nil {
-				clock.begin(stageWAL)
-				_, err := s.walAppend(observeRecord(rel))
-				clock.begin(stageWindow)
-				if err != nil {
-					s.obsMu.Unlock()
-					s.release()
-					s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "persisting observations: %v", err)
-					return
-				}
-			}
-			rel.SetWindowColumns(s.winStore.StampColumns(rel, st.winSpecs))
-			s.obsMu.Unlock()
-			observed = true
-		}
-	}
-	clock.begin(stageEval)
-	s.evaluate(meta.span, st, sc, rel, explain)
-	s.release()
-	// The third deadline check, before the first response byte. A request
-	// that observed its batch skips it: its 503 would claim "not observed",
-	// so it answers with what it scored, bounded by the write deadline alone.
-	if !observed && r.Context().Err() != nil {
-		s.writeTimeout(w, r, "scoring the batch")
-		return
-	}
-	clock.begin(stageEncode)
-	s.recordScore(meta.id, st, rel, sc.first)
-	s.mScoreTx.Add(uint64(rel.Len()))
-	clock.total = s.mScoreLat // observed at flush, after the write
-	s.mBatchSize.Observe(float64(rel.Len()))
-	out := scoreStream{s: s, w: w, clock: &clock}
-	sc.out = s.appendScoreResponse(sc.out[:0], out.flush, meta.id, st, sc, rel, req.Explain, req.ExplainAll)
-	out.finish(sc.out)
-}
-
-// evaluate scores rel against st into sc. The default path computes
-// first-match attribution instead of the bare union: same short-circuiting
-// loop and chunking as Eval, one int32 write per tuple extra, and it is
-// exactly what per-rule fire accounting needs. Explain mode runs the lazy
-// attribution pass: margins are materialized for the rules that fire (what
-// "why was this flagged" asks); explain_all re-derives the non-firing rules'
-// margins at encode time.
-func (s *Server) evaluate(sp trace.Span, st *ruleState, sc *scoreState, rel *relation.Relation, explain bool) {
-	if !explain {
-		sc.first = st.ev.EvalFirstIntoUnder(sp, rel, sc.first)
-		return
-	}
-	st.ev.EvalAttributedLazyIntoUnder(sp, rel, &sc.attrib)
-	if cap(sc.first) < rel.Len() {
-		sc.first = make([]int32, rel.Len())
-	}
-	sc.first = sc.first[:rel.Len()]
-	for i := range sc.attrib.Tuples {
-		sc.first[i] = index.NoRule
-		if m := sc.attrib.Tuples[i].Matched; len(m) > 0 {
-			sc.first[i] = int32(m[0])
-		}
-	}
-}
-
-// writeTimeout answers a request whose deadline passed at a check point
-// with 503 "timeout". The socket write deadline is that same, already past,
-// instant; the envelope gets timeoutReplyGrace to reach the client.
-func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, during string) {
-	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeoutReplyGrace)) //nolint:errcheck // ErrNotSupported: no socket deadline to move
-	s.writeError(w, r, http.StatusServiceUnavailable, CodeTimeout, "request deadline passed while %s", during)
-}
-
-// timeoutReplyGrace is how long a 503 "timeout" envelope may take to write
-// once the request's own deadline has passed.
-const timeoutReplyGrace = time.Second
-
-// recordScore feeds one batch scored under st into st's health epoch and
-// (for sampled decisions) the audit ring.
-func (s *Server) recordScore(requestID string, st *ruleState, rel *relation.Relation, first []int32) {
-	// Aggregate fires per batch so a 4k-tx batch costs the epoch at most one
-	// add per distinct fired rule.
-	nRules := st.set.Len()
-	var counts []uint64
-	for i, ri := range first {
-		if ri >= 0 && int(ri) < nRules {
-			if counts == nil {
-				counts = make([]uint64, nRules)
-			}
-			counts[ri]++
-		}
-		if s.stats.ShouldSample() {
-			s.stats.AddAudit(rulestats.AuditEntry{
-				RequestID: requestID,
-				Version:   st.version,
-				Rule:      int(ri),
-				Flagged:   ri != index.NoRule,
-				Score:     rel.Score(i),
-				Attrs:     renderAttrs(s.schema, rel, i),
-			})
-		}
-	}
-	st.health.RecordFires(len(first), counts)
-}
-
-// renderAttrs renders one tuple attribute-by-attribute in the schema's
-// textual form (audit entries must stay meaningful after the schema's
-// numeric encodings change).
-func renderAttrs(schema *relation.Schema, rel *relation.Relation, i int) map[string]string {
-	t := rel.Tuple(i)
-	out := make(map[string]string, schema.Arity())
-	for a := 0; a < schema.Arity(); a++ {
-		out[schema.Attr(a).Name] = schema.FormatValue(a, t[a])
-	}
-	return out
-}
-
-// handleRules serves the published rules (GET, with the version as an ETag)
-// and hot-swaps a new set (POST): parse + compile off to the side, then one
-// atomic publish. POST honors If-Match on the version for optimistic
+// handleRulesPost hot-swaps a new rule set: parse + compile off to the side,
+// then one atomic publish. It honors If-Match on the version for optimistic
 // concurrency — two racing operators cannot silently clobber each other.
-func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		st := s.state.Load()
-		w.Header().Set("ETag", versionETag(st.version))
-		s.writeJSON(w, http.StatusOK, rulesResponse{RequestID: requestMeta(r).id, Version: st.version, Count: len(st.texts), Rules: st.texts})
-	case http.MethodPost:
-		wantVersion, ok, err := parseIfMatch(r.Header.Get("If-Match"))
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-			return
-		}
-		texts, comment, err := readRulesBody(r)
-		if err != nil {
-			s.writeBodyError(w, r, err)
-			return
-		}
-		rs := rules.NewSet()
-		for i, text := range texts {
-			rule, err := rules.Parse(s.schema, text)
-			if err != nil {
-				s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "rule %d: %v", i+1, err)
-				return
-			}
-			rs.Add(rule)
-		}
-		if !s.lockCommit(w, r, "publish", false) {
-			return
-		}
-		if ok {
-			if cur := s.state.Load().version; cur != wantVersion {
-				s.mu.Unlock()
-				w.Header().Set("ETag", versionETag(cur))
-				s.writeError(w, r, http.StatusConflict, CodeConflict,
-					"published version is %d, If-Match wanted %d (re-read /v1/rules and retry)", cur, wantVersion)
-				return
-			}
-		}
-		st, err := s.publishLocked(rs, nil, comment)
-		s.mu.Unlock()
-		if err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "persisting publish: %v", err)
-			return
-		}
-		w.Header().Set("ETag", versionETag(st.version))
-		s.writeJSON(w, http.StatusOK, rulesResponse{RequestID: requestMeta(r).id, Version: st.version, Count: len(st.texts), Rules: st.texts})
-	default:
-		s.methodNotAllowed(w, r, http.MethodGet, http.MethodPost)
+func (s *Server) handleRulesPost(w http.ResponseWriter, r *http.Request) error {
+	wantVersion, ok, err := parseIfMatch(r.Header.Get("If-Match"))
+	if err != nil {
+		return errorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
 	}
+	texts, comment, err := readRulesBody(r)
+	if err != nil {
+		return err
+	}
+	rs := rules.NewSet()
+	for i, text := range texts {
+		rule, err := rules.Parse(s.schema, text)
+		if err != nil {
+			return errorf(http.StatusBadRequest, CodeBadRequest, "rule %d: %v", i+1, err)
+		}
+		rs.Add(rule)
+	}
+	if err := s.lockCommit(w, r, "publish", false); err != nil {
+		return err
+	}
+	if cur := s.state.Load().version; ok && cur != wantVersion {
+		s.mu.Unlock()
+		w.Header().Set("ETag", versionETag(cur))
+		return errorf(http.StatusConflict, CodeConflict,
+			"published version is %d, If-Match wanted %d (re-read /v1/rules and retry)", cur, wantVersion)
+	}
+	st, err := s.publishLocked(rs, nil, comment)
+	s.mu.Unlock()
+	if err != nil {
+		return errorf(http.StatusInternalServerError, CodeInternal, "persisting publish: %v", err)
+	}
+	s.writeRules(w, r, st)
+	return nil
 }
 
 // versionETag renders a rule-set version as a strong entity tag.
@@ -1220,8 +661,8 @@ func readRulesBody(r *http.Request) (texts []string, comment string, err error) 
 	ct := r.Header.Get("Content-Type")
 	if mt, _, _ := mime.ParseMediaType(ct); mt == "" || mt == "application/json" {
 		var req rulesSwapRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return nil, "", fmt.Errorf("bad JSON: %w", err)
+		if err := readJSON(r.Context(), r.Body, &req); err != nil {
+			return nil, "", err
 		}
 		if req.Comment == "" {
 			req.Comment = "POST /v1/rules"
@@ -1230,7 +671,7 @@ func readRulesBody(r *http.Request) (texts []string, comment string, err error) 
 	}
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		return nil, "", err
+		return nil, "", bodyError(r.Context(), err)
 	}
 	for _, line := range strings.Split(string(raw), "\n") {
 		line = strings.TrimSpace(line)
@@ -1245,38 +686,24 @@ func readRulesBody(r *http.Request) (texts []string, comment string, err error) 
 // handleFeedback appends labeled transactions to the server-side relation
 // (WAL first, when durable) and reports which of them the current rules
 // already capture.
-func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.methodNotAllowed(w, r, http.MethodPost)
-		return
-	}
-	var req feedbackRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Transactions) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "no transactions")
-		return
-	}
-	if len(req.Transactions) > s.cfg.MaxBatch {
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "batch of %d exceeds max %d", len(req.Transactions), s.cfg.MaxBatch)
-		return
-	}
+func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) error {
 	// Validate the whole batch before touching server state: feedback is
 	// all-or-nothing.
-	batch, labels, err := s.buildRelation(req.Transactions, true)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
+	var req feedbackRequest
+	if err := readJSON(r.Context(), r.Body, &req); err != nil {
+		return err
 	}
-	if !s.lockCommit(w, r, "feedback", false) {
-		return
+	batch, err := s.relationOf(req.Transactions, feedbackLabel)
+	if err != nil {
+		return err
+	}
+	if err := s.lockCommit(w, r, "feedback", false); err != nil {
+		return err
 	}
 	base := s.feedback.Len()
 	if err := s.commit(feedbackRecord(batch)); err != nil {
 		s.mu.Unlock()
-		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "persisting feedback: %v", err)
-		return
+		return errorf(http.StatusInternalServerError, CodeInternal, "persisting feedback: %v", err)
 	}
 	st := s.state.Load()
 	cache := s.captureLocked(st)
@@ -1297,69 +724,57 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// evidence behind GET /v1/rules/health and the per-rule feedback series.
 	// The join books into the epoch of the st the captures were computed
 	// under, even if a publish has since replaced it.
-	for i, lab := range labels {
+	for i := range capturing {
+		lab := batch.Label(i)
 		st.health.RecordFeedback(lab == relation.Fraud, lab == relation.Legitimate, capturing[i])
-		switch lab {
-		case relation.Fraud:
-			s.mFeedbackFraud.Inc()
-		case relation.Legitimate:
-			s.mFeedbackLegit.Inc()
-		default:
-			s.mFeedbackUnlabeled.Inc()
-		}
+		s.mFeedback[lab].Inc()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // lockCommit is the commit guard of every mutating handler: it takes s.mu
 // under the request context — or, with held set, re-checks the request for a
-// caller that already holds s.mu (refine, after its session) — and reports
-// whether the request may still commit, with s.mu held. If the context ended
+// caller that already holds s.mu (refine, after its session) — and returns
+// nil if the request may still commit, with s.mu held. If the context ended
 // first — the deadline passed while the request queued for the lock or
 // worked, or the client hung up — it releases s.mu if it took it, logs the
-// discarded mutation and answers 503 "timeout", and the caller returns:
-// state never changes behind that answer (a client retry would apply it
-// twice). A request that may commit gets timeoutReplyGrace past its deadline
-// to write the answer.
-func (s *Server) lockCommit(w http.ResponseWriter, r *http.Request, what string, held bool) bool {
+// discarded mutation and returns the 503 "timeout": state never changes
+// behind that answer (a client retry would apply it twice). A request that
+// may commit gets timeoutReplyGrace past its deadline to write the answer.
+func (s *Server) lockCommit(w http.ResponseWriter, r *http.Request, what string, held bool) error {
 	ctx := r.Context()
 	locked := !held && s.mu.lockCtx(ctx) == nil
 	err := ctx.Err()
 	if err == nil {
 		if deadline, ok := ctx.Deadline(); ok {
-			http.NewResponseController(w).SetWriteDeadline(deadline.Add(timeoutReplyGrace)) //nolint:errcheck // see writeTimeout
+			http.NewResponseController(w).SetWriteDeadline(deadline.Add(timeoutReplyGrace)) //nolint:errcheck // see replyError
 		}
-		return true
+		return nil
 	}
 	if locked {
 		s.mu.Unlock()
 	}
 	s.log.Warn(what+" discarded: the request ended before it could commit",
 		"request_id", requestMeta(r).id, "version", s.state.Load().version, "err", err)
-	s.writeTimeout(w, r, "committing the "+what)
-	return false
+	return timedOut("committing the " + what)
 }
 
 // handleRefine runs a refinement session over the accumulated feedback and
 // atomically publishes the refined rules.
-func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.methodNotAllowed(w, r, http.MethodPost)
-		return
-	}
+func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) error {
 	var req refineRequest
 	if r.ContentLength != 0 {
-		if !s.decodeJSON(w, r, &req) {
-			return
+		if err := readJSON(r.Context(), r.Body, &req); err != nil {
+			return err
 		}
 	}
-	if !s.lockCommit(w, r, "refinement", false) {
-		return
+	if err := s.lockCommit(w, r, "refinement", false); err != nil {
+		return err
 	}
 	defer s.mu.Unlock()
 	if s.feedback.Len() == 0 {
-		s.writeError(w, r, http.StatusConflict, CodeConflict, "no feedback ingested yet")
-		return
+		return errorf(http.StatusConflict, CodeConflict, "no feedback ingested yet")
 	}
 	old := s.state.Load()
 	opts := s.cfg.Refine
@@ -1379,8 +794,8 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	hits, rebinds, _ := sess.CaptureStats()
 	s.refineHits.Add(hits)
 	s.refineMisses.Add(rebinds)
-	if !s.lockCommit(w, r, "refinement", true) {
-		return
+	if err := s.lockCommit(w, r, "refinement", true); err != nil {
+		return err
 	}
 	comment := req.Comment
 	if comment == "" {
@@ -1388,8 +803,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.publishLocked(sess.Rules().Clone(), sess.Log().All(), comment)
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "persisting refined rules: %v", err)
-		return
+		return errorf(http.StatusInternalServerError, CodeInternal, "persisting refined rules: %v", err)
 	}
 	s.mRefines.Inc()
 	s.log.Info("refinement complete", "request_id", meta.id,
@@ -1408,18 +822,17 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		LegitCaptured:     stats.LegitCaptured,
 		UnlabeledCaptured: stats.UnlabeledCaptured,
 	})
+	return nil
 }
+
+// errControlPlaneWait is the 503 of a read that gave up queueing for s.mu.
+var errControlPlaneWait = errorf(http.StatusServiceUnavailable, CodeUnavailable, "canceled while queued for the control plane")
 
 // handleStats reports the published rules' performance over the feedback
 // relation, read off the incremental capture cache.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	if s.mu.lockCtx(r.Context()) != nil {
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeUnavailable, "canceled while queued for the control plane")
-		return
+		return errControlPlaneWait
 	}
 	defer s.mu.Unlock()
 	st := s.state.Load()
@@ -1445,6 +858,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // handleRuleHealth serves the per-rule health snapshot: fire counts and
@@ -1453,11 +867,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // snapshot accounts for — identical to GET /v1/rules' ETag for the same
 // version, so clients can join health against the rule texts they already
 // hold (and detect a publish race with If-None-Match).
-func (s *Server) handleRuleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleRuleHealth(w http.ResponseWriter, r *http.Request) error {
 	meta := requestMeta(r)
 	sp := meta.span.Child("rulestats.snapshot")
 	snap := s.ruleHealth()
@@ -1467,24 +877,20 @@ func (s *Server) handleRuleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("ETag", etag)
 	if r.Header.Get("If-None-Match") == etag {
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return nil
 	}
 	s.writeJSON(w, http.StatusOK, ruleHealthResponse{RequestID: meta.id, Snapshot: snap})
+	return nil
 }
 
 // handleAudit serves the sampled decision audit ring, newest first.
 // ?n= bounds the returned entries (default 100).
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) error {
 	n := 100
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
-			s.writeError(w, r, http.StatusBadRequest, CodeBadRequest, "bad n %q (want a positive integer)", q)
-			return
+			return errorf(http.StatusBadRequest, CodeBadRequest, "bad n %q (want a positive integer)", q)
 		}
 		n = v
 	}
@@ -1499,6 +905,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		Count:     len(entries),
 		Entries:   entries,
 	})
+	return nil
 }
 
 // ruleHealth is the published version's health snapshot.
@@ -1506,20 +913,12 @@ func (s *Server) ruleHealth() rulestats.Snapshot { return s.state.Load().health.
 
 // handleSchema serves the schema JSON so clients (cmd/loadgen) can
 // self-configure.
-func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) error {
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.schema.WriteJSON(w); err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
+		return errorf(http.StatusInternalServerError, CodeInternal, "%v", err)
 	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprintln(w, "ok")
+	return nil
 }
 
 // handleReadyz reports readiness. New replays the snapshot and WAL before
@@ -1528,15 +927,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // additionally not ready until replay has caught up to the leader's WAL
 // position as of the first connect — load balancers never route reads to a
 // node still serving a stale rule version.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) error {
 	if s.draining.Load() {
-		s.writeErrorID(w, "", http.StatusServiceUnavailable, CodeNotReady, "draining")
-		return
+		return errorf(http.StatusServiceUnavailable, CodeNotReady, "draining")
 	}
 	if f := s.follower; f != nil && !f.ready() {
-		s.writeErrorID(w, "", http.StatusServiceUnavailable, CodeNotReady,
+		return errorf(http.StatusServiceUnavailable, CodeNotReady,
 			"follower catching up: applied seq %d of %d", f.applied.Load(), f.target.Load())
-		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	return nil
 }

@@ -280,7 +280,7 @@ func (r *replicated) applyPayload(seq uint64, payload []byte) error {
 //
 // The leader's score path is the one caller that does not come through here
 // for its record type: it calls winStore.StampColumns, which is Observe per
-// tuple plus the per-tuple aggregate read the response needs (handleScore).
+// tuple plus the per-tuple aggregate read the response needs (the score pipeline).
 func (r *replicated) apply(seq uint64, rec *walRecord) error {
 	switch rec.Type {
 	case recFeedback:

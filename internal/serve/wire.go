@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 
 	"repro/internal/relation"
@@ -85,6 +87,60 @@ type txExplanation struct {
 
 type feedbackRequest struct {
 	Transactions []txIn `json:"transactions"`
+}
+
+// batch returns the request's transactions: the single-transaction
+// shorthand is a batch of one.
+func (r *scoreRequest) batch() []txIn {
+	if r.Transactions == nil && r.Attrs != nil {
+		return []txIn{{Attrs: r.Attrs, Score: r.Score}}
+	}
+	return r.Transactions
+}
+
+// feedbackLabel maps the wire label names onto relation labels. A feedback
+// transaction must name one.
+func feedbackLabel(tx txIn) (relation.Label, error) {
+	switch tx.Label {
+	case "fraud", "FRAUD":
+		return relation.Fraud, nil
+	case "legit", "legitimate", "LEGITIMATE":
+		return relation.Legitimate, nil
+	case "unlabeled":
+		return relation.Unlabeled, nil
+	case "":
+		return relation.Unlabeled, errors.New("missing label (want fraud, legit or unlabeled)")
+	default:
+		return relation.Unlabeled, fmt.Errorf("unknown label %q (want fraud, legit or unlabeled)", tx.Label)
+	}
+}
+
+// relationOf is the batch decoder of score and feedback: it bounds a decoded
+// wire batch and validates every transaction against the schema into a
+// relation, labeled by label (unlabeled when label is nil). A batch that does
+// not validate is a 400 or a 413.
+func (s *Server) relationOf(txs []txIn, label func(txIn) (relation.Label, error)) (*relation.Relation, error) {
+	if len(txs) == 0 {
+		return nil, errorf(http.StatusBadRequest, CodeBadRequest, "no transactions")
+	}
+	if len(txs) > s.cfg.MaxBatch {
+		return nil, errorf(http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "batch of %d exceeds max %d", len(txs), s.cfg.MaxBatch)
+	}
+	rel := relation.New(s.schema)
+	for i, tx := range txs {
+		t, err := parseTuple(s.schema, tx.Attrs)
+		lab := relation.Unlabeled
+		if err == nil && label != nil {
+			lab, err = label(tx)
+		}
+		if err == nil {
+			_, err = rel.Append(t, lab, tx.Score)
+		}
+		if err != nil {
+			return nil, errorf(http.StatusBadRequest, CodeBadRequest, "transaction %d: %v", i, err)
+		}
+	}
+	return rel, nil
 }
 
 type feedbackResponse struct {
@@ -170,20 +226,6 @@ type errorBody struct {
 // fallback) writes: {"error":{"code":...,"message":...,"request_id":...}}.
 type errorResponse struct {
 	Error errorBody `json:"error"`
-}
-
-// parseLabel maps the wire label names onto relation labels.
-func parseWireLabel(s string) (relation.Label, error) {
-	switch s {
-	case "fraud", "FRAUD":
-		return relation.Fraud, nil
-	case "legit", "legitimate", "LEGITIMATE":
-		return relation.Legitimate, nil
-	case "unlabeled", "":
-		return relation.Unlabeled, nil
-	default:
-		return relation.Unlabeled, fmt.Errorf("unknown label %q (want fraud, legit or unlabeled)", s)
-	}
 }
 
 // parseTuple validates and converts one wire transaction into a schema
